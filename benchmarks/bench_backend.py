@@ -2,47 +2,43 @@
 
 Claims under test, on design-space-study-shaped sweeps (one spec, many
 input matrices — the scenario the compile cache and the batched API
-target):
+target).  The engines are the reference interpreter with trace pricing
+(``metrics="trace"``), the generated vector kernels (``metrics="auto"``)
+and the analytical tier (``metrics="analytical"``):
 
-1. **Traced**: ``evaluate_many`` with a warm compile cache beats per-call
-   interpreter evaluation while replaying the interpreter's exact trace
-   stream.
-2. **Untraced**: the arena-native *flat* kernels (structure-of-arrays
-   fibertree storage, inlined galloping intersection) beat the boxed
-   object-cursor kernels by a wide margin — this is the pure-computation
-   path used when no metrics are requested.
-3. **Counters**: counter-fused metrics (``metrics="counters"``) price
-   component models from aggregate tallies and land between the two.
-4. **Fused**: on a *buffered* spec (buffet + LRU cache + output buffet —
-   the accelerators TeAAL exists to model), model-fused metrics inline
-   the component state machines into the arena kernels and must beat the
-   per-event traced path by a wide margin with bit-identical results;
-   the vector kernels must at least match them there (tiny spans all
-   take the scalar fallback).
-5. **Vector**: on the long-span sweep (a contraction rank thousands of
+1. **Compiled**: ``evaluate_many`` over the vector kernels with a warm
+   compile cache beats per-call interpreter evaluation with identical
+   outputs, traffic and time.
+2. **Buffered**: on a *buffered* spec (buffet + LRU cache + output
+   buffet — the accelerators TeAAL exists to model), the vector kernels
+   inline the component state machines into the arena loops and must
+   beat the per-event traced interpreter by a wide margin with
+   bit-identical results.
+3. **Vector**: on the long-span sweep (a contraction rank thousands of
    coordinates deep — the regime real large-nnz tensors live in), the
-   rank-batched vector kernels (``metrics="vector"``, what
-   ``metrics="auto"`` now picks) must beat the counter-fused scalar
-   loops by >=3x, bit-identically.
-6. **Search**: on a buffered spec's full candidate space (every loop
-   order x K-tile choice), the parallel two-phase-pruned mapping search
-   (``repro.search.search`` — vector scoring for everyone, traced
-   re-pricing for the top-k) must beat the serial exhaustive sweep at
-   full traced fidelity by >=2x while choosing the *identical* best
-   candidate with bit-identical metrics.
-7. **Analytical**: on the same candidate space, the statistics-based
+   vector kernels' rank-batched numpy leaves must beat the same kernels
+   held on their scalar leaf loop (``VLEAF_MIN`` raised past every span)
+   by >=3x, bit-identically.
+4. **Search**: on a buffered spec's full candidate space (every loop
+   order x K-tile choice), the two-phase-pruned mapping search
+   (``repro.search.search`` — analytical scoring for everyone, vector
+   re-pricing for the top-k) must beat the serial exhaustive ``auto``
+   sweep by >=2x while choosing the *identical* best candidate with
+   bit-identical metrics.
+5. **Analytical**: on the same candidate space, the statistics-based
    pricing tier (``metrics="analytical"`` — no tensor walked at all)
-   must price candidates >=100x faster than the counter-fused kernels,
-   and the pruned search with ``prune_metrics="analytical"`` must still
-   land on the exhaustive-best mapping at the bench space's ``k``.
-8. **Analytical accuracy**: the ``analytical-accuracy`` flavor records
+   must price candidates >=100x faster than the vector kernels, and the
+   pruned search with ``prune_metrics="analytical"`` must still land on
+   the exhaustive-best mapping at the bench space's ``k``.
+6. **Analytical accuracy**: the ``analytical-accuracy`` flavor records
    the per-accelerator analytical/exact traffic and ops ratios on the
    canonical cross-validation workloads into the trajectory, so model
    accuracy accrues history the way performance does.
 
 An ``--nnz-sweep`` mode grows one synthetic SpMSpM from 1e4 to 1e6
-nonzeros and records counted-vs-vector per size — the gap widens with
-span length, which is the scaling argument for numpy-native buffers.
+nonzeros and records interpreter+trace vs vector per size, asserting
+bit-identical metrics fingerprints at every size — the large-span
+differential gate (the tier-1 hypothesis inputs are all small).
 ``--flavor`` restricts a run to a comma-separated subset of engines.
 
 Every run appends a record to ``benchmarks/BENCH_backend.json`` (wall
@@ -82,8 +78,8 @@ try:
 except ImportError:  # running as a plain script
     from _common import print_series
 
-#: The historical sweep spec (occupancy-split contraction): every PR's
-#: interpreter/compiled/untraced rows measure this same shape, so the
+#: The historical sweep spec (occupancy-split contraction): the
+#: interpreter/compiled rows always measure this same shape, so the
 #: perf-trajectory file stays comparable across the project's history.
 SPEC = """
 einsum:
@@ -209,7 +205,7 @@ binding:
 """
 
 #: Search-sweep candidate space: all loop orders of the three iteration
-#: ranks x (untiled, K:8, K:16); the pruned run re-prices only the top 4.
+#: ranks x (untiled, K:8, K:16); the pruned runs keep only the top 4.
 SEARCH_RANKS = ("M", "N", "K")
 SEARCH_TILE_SIZES = {"K": (8, 16)}
 SEARCH_PRUNE_TO = 4
@@ -231,9 +227,9 @@ N_BUFFERED_WORKLOADS = 8
 NNZ_SIZES = (10_000, 100_000, 1_000_000)
 TRAJECTORY = os.path.join(os.path.dirname(__file__), "BENCH_backend.json")
 
-ALL_FLAVORS = ("interpreter", "compiled", "counters", "vector",
-               "untraced", "buffered", "executor", "search", "analytical",
-               "analytical-accuracy", "supervised", "store", "lint")
+ALL_FLAVORS = ("interpreter", "compiled", "vector", "buffered", "executor",
+               "search", "analytical", "analytical-accuracy", "supervised",
+               "store", "lint")
 
 #: The scaled-down accelerator configs the analytical tier is
 #: cross-validated against (mirrors ``tests/model/test_analytical.py``).
@@ -290,20 +286,19 @@ def run_comparison(n: int = N_WORKLOADS, flavors=None):
 
     ``timings`` maps engine names to sweep seconds:
 
-    * ``interpreter`` / ``compiled`` / ``counters`` — traced and
-      counter-fused metric evaluations on the historical sweep;
-    * ``untraced_interpreter`` / ``untraced_object`` / ``untraced_flat``
-      — outputs only, no sink (the pure-computation path);
-    * ``vspan_counters`` / ``vspan_vector`` — the long-span vector
-      sweep through the counted and vector kernels (the >=3x claim);
-    * ``buffered_*`` — the buffered spec through the traced, fused, and
-      vector engines;
+    * ``interpreter`` / ``compiled`` — the historical sweep through the
+      interpreter with trace pricing and through the vector kernels;
+    * ``vspan_scalar`` / ``vspan_vector`` — the long-span sweep through
+      the vector kernels held on their scalar leaf loop and with their
+      batched leaves (the >=3x claim);
+    * ``buffered_*`` — the buffered spec through the interpreter and the
+      vector kernels;
     * ``executor_thread`` / ``executor_process`` — the long-span sweep
       through both ``evaluate_many`` pool types (the measurement behind
       the thread default);
-    * ``acand_counters`` / ``acand_analytical`` — the search space's
-      candidates priced one-by-one through the counter-fused kernels
-      and the statistics tier (the >=100x claim).
+    * ``acand_auto`` / ``acand_analytical`` — the search space's
+      candidates priced one-by-one through the vector kernels and the
+      statistics tier (the >=100x claim).
     """
     flavors = set(ALL_FLAVORS if flavors is None else flavors)
     spec = load_spec(SPEC, name="backend-sweep")
@@ -312,12 +307,9 @@ def run_comparison(n: int = N_WORKLOADS, flavors=None):
 
     interp = InterpreterBackend()
     compiled = CompiledBackend(cache=CompileCache())
-    for unit in compiled.compile(spec).units:
-        _ = unit.traced
-        _ = unit.counted
-        unit.flat_or_none()
+    compiled.compile(spec)
 
-    interp_results = compiled_results = counter_results = None
+    interp_results = compiled_results = None
 
     if "interpreter" in flavors:
         t0 = time.perf_counter()
@@ -327,65 +319,23 @@ def run_comparison(n: int = N_WORKLOADS, flavors=None):
         ]
         timings["interpreter"] = time.perf_counter() - t0
 
-    # metrics="trace" pins the historical meaning of this row (the
-    # traced compiled kernels); the default is now metrics="auto".
     if "compiled" in flavors:
         t0 = time.perf_counter()
         compiled_results = evaluate_many(spec, [dict(w) for w in workloads],
-                                         backend=compiled, metrics="trace")
+                                         backend=compiled, metrics="auto")
         timings["compiled"] = time.perf_counter() - t0
 
-    if "counters" in flavors:
-        t0 = time.perf_counter()
-        counter_results = evaluate_many(spec, [dict(w) for w in workloads],
-                                        backend=compiled,
-                                        metrics="counters")
-        timings["counters"] = time.perf_counter() - t0
-
-    # The unbuffered engines must agree before their times are
-    # comparable; checked here so their results can be freed before the
-    # next sections (a large retained heap taxes every allocation
-    # through the garbage collector and would skew the next ratios).
-    present = [r for r in (interp_results, compiled_results,
-                           counter_results) if r is not None]
-    for group in zip(*present):
-        first = group[0]
-        for other in group[1:]:
-            assert first.env["Z"].points() == other.env["Z"].points()
-            assert first.traffic_bytes() == other.traffic_bytes()
-            assert first.exec_seconds == other.exec_seconds
-    del interp_results, compiled_results, counter_results, present
+    # The engines must agree before their times are comparable; checked
+    # here so their results can be freed before the next sections (a
+    # large retained heap taxes every allocation through the garbage
+    # collector and would skew the next ratios).
+    if interp_results is not None and compiled_results is not None:
+        for a, b in zip(interp_results, compiled_results):
+            assert a.env["Z"].points() == b.env["Z"].points()
+            assert a.traffic_bytes() == b.traffic_bytes()
+            assert a.exec_seconds == b.exec_seconds
+    del interp_results, compiled_results
     gc.collect()
-
-    if "untraced" in flavors:
-        object_backend = CompiledBackend(cache=compiled.cache,
-                                         kernel_flavor="object")
-        flat_backend = CompiledBackend(cache=compiled.cache,
-                                       kernel_flavor="flat")
-
-        t0 = time.perf_counter()
-        untraced_interp = [
-            interp.run_cascade(spec, dict(w)) for w in workloads
-        ]
-        timings["untraced_interpreter"] = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        untraced_object = [
-            object_backend.run_cascade(spec, dict(w)) for w in workloads
-        ]
-        timings["untraced_object"] = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        untraced_flat = [
-            flat_backend.run_cascade(spec, dict(w)) for w in workloads
-        ]
-        timings["untraced_flat"] = time.perf_counter() - t0
-
-        for ei, eo, ef in zip(untraced_interp, untraced_object,
-                              untraced_flat):
-            assert ei["Z"].points() == eo["Z"].points() == ef["Z"].points()
-        del untraced_interp, untraced_object, untraced_flat
-        gc.collect()
 
     if "vector" in flavors or "executor" in flavors:
         timings.update(_run_vector_sweep(n, flavors))
@@ -407,37 +357,42 @@ def run_comparison(n: int = N_WORKLOADS, flavors=None):
 
 
 def _run_vector_sweep(n: int, flavors) -> dict:
-    """The long-span sweep: counted vs vector kernels (the >=3x claim),
-    plus the evaluate_many pool-type measurement."""
+    """The long-span sweep: the vector kernels with batched leaves vs
+    held on their scalar leaf loop (the >=3x claim), plus the
+    evaluate_many pool-type measurement."""
+    import repro.ir.codegen_runtime as rt
+
     spec = load_spec(SPEC_VECTOR, name="vector-sweep")
     workloads = _vector_workloads(n)
     backend = CompiledBackend(cache=CompileCache())
-    for unit in backend.compile(spec).units:
-        _ = unit.counted
-        _ = unit.vector
+    backend.compile(spec)
     timings = {}
 
-    counter_results = vector_results = None
     if "vector" in flavors:
         gc.collect()
-        t0 = time.perf_counter()
-        counter_results = evaluate_many(spec, [dict(w) for w in workloads],
-                                        backend=backend,
-                                        metrics="counters")
-        timings["vspan_counters"] = time.perf_counter() - t0
+        vleaf_min = rt.VLEAF_MIN
+        rt.VLEAF_MIN = float("inf")  # every span takes the scalar loop
+        try:
+            t0 = time.perf_counter()
+            scalar_results = evaluate_many(
+                spec, [dict(w) for w in workloads], backend=backend,
+                metrics="auto")
+            timings["vspan_scalar"] = time.perf_counter() - t0
+        finally:
+            rt.VLEAF_MIN = vleaf_min
 
         t0 = time.perf_counter()
         vector_results = evaluate_many(spec, [dict(w) for w in workloads],
-                                       backend=backend, metrics="vector")
+                                       backend=backend, metrics="auto")
         timings["vspan_vector"] = time.perf_counter() - t0
 
-        for a, b in zip(counter_results, vector_results):
+        for a, b in zip(scalar_results, vector_results):
             assert a.env["Z"].points() == b.env["Z"].points()
             assert a.traffic_bytes() == b.traffic_bytes()
             assert a.exec_seconds == b.exec_seconds
             assert a.energy_pj == b.energy_pj
             assert a.action_counts() == b.action_counts()
-        del counter_results, vector_results
+        del scalar_results, vector_results
         gc.collect()
 
     if "executor" in flavors:
@@ -445,11 +400,11 @@ def _run_vector_sweep(n: int, flavors) -> dict:
         # thread default (recorded in the JSON trajectory).
         t0 = time.perf_counter()
         evaluate_many(spec, [dict(w) for w in workloads],
-                      metrics="vector", executor="thread")
+                      metrics="auto", executor="thread")
         timings["executor_thread"] = time.perf_counter() - t0
         t0 = time.perf_counter()
         evaluate_many(spec, [dict(w) for w in workloads],
-                      metrics="vector", executor="process")
+                      metrics="auto", executor="process")
         timings["executor_process"] = time.perf_counter() - t0
     return timings
 
@@ -472,22 +427,17 @@ def _timed_sweep(spec, workloads, metrics, engine):
 
 
 def _run_buffered(n: int, interp) -> dict:
-    """The buffered spec: model fusion (and vector parity) vs. the
-    traced path."""
+    """The buffered spec: the vector kernels (component machines
+    inlined) vs. the traced interpreter."""
     buf_spec = load_spec(SPEC_BUFFERED, name="buffered-sweep")
     buf_workloads = _buffered_workloads(_n_buffered(n))
     buf_backend = CompiledBackend(cache=CompileCache())
-    for unit in buf_backend.compile(buf_spec).units:
-        _ = unit.traced
-        _ = unit.fused
-        _ = unit.vector
+    buf_backend.compile(buf_spec)
 
     # Interleaved best-of-3: noisy shared hosts drift between sweeps,
     # so each round measures the engines back to back and every engine
     # keeps its best round.
-    rows = (("buffered_fused", "fused", buf_backend),
-            ("buffered_vector", "vector", buf_backend),
-            ("buffered_traced", "trace", buf_backend),
+    rows = (("buffered_vector", "auto", buf_backend),
             ("buffered_interpreter", "trace", interp))
     times = {key: [] for key, _, _ in rows}
     results = {}
@@ -499,25 +449,19 @@ def _run_buffered(n: int, interp) -> dict:
     timings = {key: min(values) for key, values in times.items()}
 
     # The buffered engines must agree before their times are comparable.
-    for a, b, c, d in zip(results["buffered_interpreter"],
-                          results["buffered_traced"],
-                          results["buffered_fused"],
-                          results["buffered_vector"]):
-        assert a.env["Z"].points() == c.env["Z"].points() \
-            == d.env["Z"].points()
-        assert a.traffic_bytes() == b.traffic_bytes() \
-            == c.traffic_bytes() == d.traffic_bytes()
-        assert a.exec_seconds == b.exec_seconds == c.exec_seconds \
-            == d.exec_seconds
-        assert a.energy_pj == b.energy_pj == c.energy_pj == d.energy_pj
-        assert a.action_counts() == b.action_counts() \
-            == c.action_counts() == d.action_counts()
+    for a, b in zip(results["buffered_interpreter"],
+                    results["buffered_vector"]):
+        assert a.env["Z"].points() == b.env["Z"].points()
+        assert a.traffic_bytes() == b.traffic_bytes()
+        assert a.exec_seconds == b.exec_seconds
+        assert a.energy_pj == b.energy_pj
+        assert a.action_counts() == b.action_counts()
     return timings
 
 
 def _run_search() -> dict:
-    """The mapping-search sweep: serial exhaustive at full traced
-    fidelity vs. the parallel two-phase-pruned search, same candidate
+    """The mapping-search sweep: serial exhaustive ``auto`` vs. the
+    two-phase search pruned by the analytical tier, same candidate
     space, identical best candidate required (the >=2x claim)."""
     from repro.search import search
 
@@ -526,30 +470,29 @@ def _run_search() -> dict:
         "A": uniform_random("A", ["K", "M"], (96, 48), 0.15, seed=5),
         "B": uniform_random("B", ["K", "N"], (96, 40), 0.15, seed=7),
     }
-    # Warm the compile cache for *both* kernel flavors the timed runs
-    # use (traced for the serial sweep, vector for the pruned phase 1 —
-    # kernels compile lazily per flavor), so neither timed region pays
-    # lowering and the comparison measures evaluation only.
+    # Warm the compile cache and the analytical tier's IR memo, so
+    # neither timed region pays lowering and the comparison measures
+    # evaluation only.
     search(spec, tensors, tile_sizes=SEARCH_TILE_SIZES, workers=1,
            metrics="auto")
     search(spec, tensors, tile_sizes=SEARCH_TILE_SIZES, workers=1,
-           metrics="trace")
+           metrics="analytical")
 
     gc.collect()
     t0 = time.perf_counter()
     serial = search(spec, tensors, tile_sizes=SEARCH_TILE_SIZES,
-                    workers=1, metrics="trace")
+                    workers=1, metrics="auto")
     t_serial = time.perf_counter() - t0
 
     gc.collect()
     t0 = time.perf_counter()
     pruned = search(spec, tensors, tile_sizes=SEARCH_TILE_SIZES,
-                    prune_to=SEARCH_PRUNE_TO)
+                    prune_to=SEARCH_PRUNE_TO, prune_metrics="analytical")
     t_pruned = time.perf_counter() - t0
 
     # The pruned search must find the *same* best mapping with
-    # bit-identical full metrics (vector scoring is trace-exact, so the
-    # winner provably survives pruning).
+    # bit-identical full metrics (the survivors are re-priced exactly,
+    # and the bench space's k absorbs the analytical tier's error).
     (cand_s, res_s), (cand_p, res_p) = serial.best(), pruned.best()
     assert cand_s == cand_p, (
         f"pruned search best {cand_p.describe()} diverged from the "
@@ -562,16 +505,16 @@ def _run_search() -> dict:
     assert pruned.n_scored == len(serial.candidates) \
         == _search_n_candidates()
     return {"search_serial_exhaustive": t_serial,
-            "search_parallel_pruned": t_pruned}
+            "search_pruned": t_pruned}
 
 
 def _run_analytical() -> dict:
     """The statistics-pricing sweep: every candidate of the search
     space priced by the analytical tier (``metrics="analytical"`` — no
-    tensor walked) vs. the counter-fused kernels, per-candidate (the
-    >=100x claim), plus an identical-best check of the pruned search
-    with ``prune_metrics="analytical"`` against the serial exhaustive
-    traced sweep."""
+    tensor walked) vs. the vector kernels, per-candidate (the >=100x
+    claim), plus an identical-best check of the pruned search with
+    ``prune_metrics="analytical"`` against the serial exhaustive
+    ``auto`` sweep."""
     from repro.model.analytical import WorkloadStats
     from repro.search import MappingSpace, search
     from repro.search.space import apply_candidate
@@ -592,8 +535,7 @@ def _run_analytical() -> dict:
     stats = WorkloadStats.from_tensors(tensors)
     t_stats = time.perf_counter() - t0
     backend = CompiledBackend(cache=CompileCache())
-    evaluate(cand_specs[0], dict(tensors), backend=backend,
-             metrics="counters")
+    evaluate(cand_specs[0], dict(tensors), backend=backend, metrics="auto")
     evaluate(cand_specs[0], None, metrics="analytical", stats=stats)
 
     timings = {}
@@ -602,9 +544,8 @@ def _run_analytical() -> dict:
     try:
         t0 = time.perf_counter()
         for cs in cand_specs:
-            evaluate(cs, dict(tensors), backend=backend,
-                     metrics="counters")
-        timings["acand_counters"] = time.perf_counter() - t0
+            evaluate(cs, dict(tensors), backend=backend, metrics="auto")
+        timings["acand_auto"] = time.perf_counter() - t0
         t0 = time.perf_counter()
         for cs in cand_specs:
             evaluate(cs, None, metrics="analytical", stats=stats)
@@ -613,11 +554,11 @@ def _run_analytical() -> dict:
         gc.enable()
     timings["analytical_stats_extract"] = t_stats
 
-    # The pruned search with the analytical phase-0 scorer must land on
-    # the same best mapping as the serial exhaustive traced sweep (the
-    # top-k recall contract, at the bench space's documented k).
+    # The pruned search with the analytical phase-1 scorer must land on
+    # the same best mapping as the serial exhaustive sweep (the top-k
+    # recall contract, at the bench space's documented k).
     exhaustive = search(spec, tensors, tile_sizes=SEARCH_TILE_SIZES,
-                        workers=1, metrics="trace")
+                        workers=1, metrics="auto")
     pruned = search(spec, tensors, tile_sizes=SEARCH_TILE_SIZES,
                     prune_to=SEARCH_PRUNE_TO,
                     prune_metrics="analytical")
@@ -674,8 +615,10 @@ def _run_supervised() -> dict:
         "A": uniform_random("A", ["K", "M"], (96, 48), 0.15, seed=5),
         "B": uniform_random("B", ["K", "N"], (96, 40), 0.15, seed=7),
     }
-    kwargs = dict(tile_sizes=SEARCH_TILE_SIZES, prune_to=SEARCH_PRUNE_TO)
-    search(spec, tensors, **kwargs)  # warm both kernel flavors
+    # Analytical pruning, so the sweep has a phase 2 to tear.
+    kwargs = dict(tile_sizes=SEARCH_TILE_SIZES, prune_to=SEARCH_PRUNE_TO,
+                  prune_metrics="analytical")
+    search(spec, tensors, **kwargs)  # warm the kernels and the IR memo
 
     gc.collect()
     t0 = time.perf_counter()
@@ -815,7 +758,7 @@ def _run_lint() -> dict:
 
 
 # ----------------------------------------------------------------------
-# nnz-scaling sweep (counted vs vector as spans grow)
+# nnz-scaling sweep (interpreter+trace vs vector as spans grow)
 # ----------------------------------------------------------------------
 def _nnz_workload(nnz: int):
     """One synthetic SpMSpM sized to ~``nnz`` nonzeros per input.
@@ -847,45 +790,44 @@ def _metrics_fingerprint(result):
 
 
 def run_nnz_sweep(sizes=NNZ_SIZES):
-    """Counted-vs-vector timings per nonzero count.
+    """Interpreter+trace vs vector timings per nonzero count.
 
-    Returns ``[{"nnz": target, "actual_nnz": ..., "counters": s,
+    Returns ``[{"nnz": target, "actual_nnz": ..., "trace": s,
     "vector": s, "speedup": x}, ...]``.  Asserts, per size, that the
-    two engines produce bit-identical metrics fingerprints — this is
-    the differential gate the CI scaling-smoke job runs at reduced
-    size.
+    vector kernels' metrics fingerprint is bit-identical to the
+    reference interpreter's with trace pricing — this is the large-span
+    differential gate the CI scaling-smoke job runs at reduced size.
     """
     spec = load_spec(SPEC_VECTOR, name="nnz-sweep")
     backend = CompiledBackend(cache=CompileCache())
-    for unit in backend.compile(spec).units:
-        _ = unit.counted
-        _ = unit.vector
+    backend.compile(spec)
+    engines = {"trace": InterpreterBackend(), "auto": backend}
     series = []
     for nnz in sizes:
         w = _nnz_workload(nnz)
         actual = w["A"].nnz
-        evaluate(spec, dict(w), backend=backend, metrics="vector")  # warm
+        evaluate(spec, dict(w), backend=backend, metrics="auto")  # warm
         row = {"nnz": int(nnz), "actual_nnz": int(actual),
                "m": int(w["A"].shape[0]), "k": int(w["A"].shape[1])}
         prints = {}
-        for metrics in ("counters", "vector"):
+        for metrics, engine in engines.items():
+            key = "vector" if metrics == "auto" else metrics
             gc.collect()
             gc.disable()
             try:
                 t0 = time.perf_counter()
-                result = evaluate(spec, dict(w), backend=backend,
+                result = evaluate(spec, dict(w), backend=engine,
                                   metrics=metrics)
-                row[metrics] = round(time.perf_counter() - t0, 6)
+                row[key] = round(time.perf_counter() - t0, 6)
             finally:
                 gc.enable()
-            prints[metrics] = _metrics_fingerprint(result)
-        assert prints["counters"] == prints["vector"], (
-            f"nnz={nnz}: vector metrics diverge from counted"
+            prints[key] = _metrics_fingerprint(result)
+        assert prints["trace"] == prints["vector"], (
+            f"nnz={nnz}: vector metrics diverge from interpreter+trace"
         )
-        row["speedup"] = round(row["counters"] / max(row["vector"], 1e-12),
-                               3)
+        row["speedup"] = round(row["trace"] / max(row["vector"], 1e-12), 3)
         series.append(row)
-        print(f"nnz={row['actual_nnz']:>9d}  counters={row['counters']:8.3f}s"
+        print(f"nnz={row['actual_nnz']:>9d}  trace={row['trace']:8.3f}s"
               f"  vector={row['vector']:8.3f}s"
               f"  speedup={row['speedup']:.2f}x")
     return series
@@ -919,22 +861,12 @@ def record_trajectory(timings: dict, n: int, path: str = TRAJECTORY,
 
     speedups = {
         "compiled_vs_interpreter": ratio("interpreter", "compiled"),
-        "counters_vs_interpreter": ratio("interpreter", "counters"),
-        "vector_vs_counters": ratio("vspan_counters", "vspan_vector"),
-        "flat_vs_object_untraced": ratio("untraced_object",
-                                         "untraced_flat"),
-        "flat_vs_interpreter_untraced": ratio("untraced_interpreter",
-                                              "untraced_flat"),
-        "fused_vs_traced_buffered": ratio("buffered_traced",
-                                          "buffered_fused"),
-        "fused_vs_interpreter_buffered": ratio("buffered_interpreter",
-                                               "buffered_fused"),
-        "vector_vs_traced_buffered": ratio("buffered_traced",
-                                           "buffered_vector"),
+        "vector_vs_scalar_leaves": ratio("vspan_scalar", "vspan_vector"),
+        "vector_vs_interpreter_buffered": ratio("buffered_interpreter",
+                                                "buffered_vector"),
         "pruned_search_vs_serial_exhaustive": ratio(
-            "search_serial_exhaustive", "search_parallel_pruned"),
-        "analytical_vs_counters": ratio("acand_counters",
-                                        "acand_analytical"),
+            "search_serial_exhaustive", "search_pruned"),
+        "analytical_vs_auto": ratio("acand_auto", "acand_analytical"),
     }
     record = {
         "timestamp": datetime.now(timezone.utc).isoformat(),
@@ -943,7 +875,7 @@ def record_trajectory(timings: dict, n: int, path: str = TRAJECTORY,
     }
     if timings:
         record["n_workloads"] = n
-        if "vspan_counters" in timings or "vspan_vector" in timings:
+        if "vspan_scalar" in timings or "vspan_vector" in timings:
             record["vector_sweep"] = {"K": VEC_K, "M": VEC_M, "N": VEC_N,
                                       "density": VEC_DENSITY}
         record["seconds"] = {k: round(v, 6) for k, v in timings.items()}
@@ -955,20 +887,21 @@ def record_trajectory(timings: dict, n: int, path: str = TRAJECTORY,
             "n_candidates": _search_n_candidates(),
             "tile_sizes": {r: list(s) for r, s in SEARCH_TILE_SIZES.items()},
             "prune_to": SEARCH_PRUNE_TO,
+            "prune_metrics": "analytical",
+            "baseline_metrics": "auto",
             "identical_best": True,
             "serial_exhaustive_seconds": round(
                 timings["search_serial_exhaustive"], 6),
-            "parallel_pruned_seconds": round(
-                timings["search_parallel_pruned"], 6),
+            "pruned_seconds": round(timings["search_pruned"], 6),
         }
-    if "acand_counters" in timings and "acand_analytical" in timings:
+    if "acand_auto" in timings and "acand_analytical" in timings:
         # _run_analytical asserted identical-best (vs the serial
-        # exhaustive traced sweep) before returning timings.
+        # exhaustive sweep) before returning timings.
         nc = _search_n_candidates()
         record["analytical"] = {
             "n_candidates": nc,
-            "per_candidate_counters_us": round(
-                1e6 * timings["acand_counters"] / nc, 3),
+            "per_candidate_auto_us": round(
+                1e6 * timings["acand_auto"] / nc, 3),
             "per_candidate_analytical_us": round(
                 1e6 * timings["acand_analytical"] / nc, 3),
             "stats_extract_seconds": round(
@@ -1063,26 +996,21 @@ def _print_report(timings: dict, n: int) -> None:
         print_series(title, ["seconds", per_label, "speedup"], rows)
 
     series(
-        f"Traced/metrics sweeps vs interpreter ({n} workloads)",
-        ["interpreter", "compiled", "counters"], "interpreter",
-    )
-    series(
-        f"Untraced sweeps, speedup vs object kernels ({n} workloads)",
-        ["untraced_interpreter", "untraced_object", "untraced_flat"],
-        "untraced_object", strip="untraced_",
+        f"Full-metrics sweeps vs interpreter ({n} workloads)",
+        ["interpreter", "compiled"], "interpreter",
     )
     series(
         f"Long-span sweep (K={VEC_K}, d={VEC_DENSITY}), speedup vs "
-        f"counter-fused kernels ({n} workloads)",
-        ["vspan_counters", "vspan_vector"], "vspan_counters",
+        f"scalar leaf loops ({n} workloads)",
+        ["vspan_scalar", "vspan_vector"], "vspan_scalar",
         strip="vspan_",
     )
     nb = _n_buffered(n)
     series(
         f"Buffered spec (buffet+cache+output buffet), full metrics, "
-        f"speedup vs traced kernels ({nb} workloads)",
-        ["buffered_interpreter", "buffered_traced", "buffered_fused",
-         "buffered_vector"], "buffered_traced", strip="buffered_",
+        f"speedup vs interpreter ({nb} workloads)",
+        ["buffered_interpreter", "buffered_vector"],
+        "buffered_interpreter", strip="buffered_",
     )
     series(
         f"evaluate_many pool types, long-span sweep ({n} workloads)",
@@ -1091,16 +1019,16 @@ def _print_report(timings: dict, n: int) -> None:
     )
     series(
         f"Mapping search ({_search_n_candidates()} candidates, buffered "
-        "spec), speedup vs serial exhaustive traced sweep",
-        ["search_serial_exhaustive", "search_parallel_pruned"],
+        "spec), speedup vs serial exhaustive auto sweep",
+        ["search_serial_exhaustive", "search_pruned"],
         "search_serial_exhaustive", strip="search_",
         per=_search_n_candidates(), per_label="per candidate",
     )
     series(
         f"Analytical statistics pricing ({_search_n_candidates()} "
-        "candidates, buffered spec), speedup vs counter-fused kernels",
-        ["acand_counters", "acand_analytical"],
-        "acand_counters", strip="acand_",
+        "candidates, buffered spec), speedup vs vector kernels",
+        ["acand_auto", "acand_analytical"],
+        "acand_auto", strip="acand_",
         per=_search_n_candidates(), per_label="per candidate",
     )
     series(
@@ -1148,51 +1076,37 @@ def test_backend_sweep_speedup(benchmark):
         f"warm compiled sweep ({timings['compiled']:.3f}s) should beat "
         f"the interpreter ({timings['interpreter']:.3f}s)"
     )
-    # The flat kernels land >5x over the object kernels on an idle
-    # machine; 1.5x leaves room for CI noise while still catching any
-    # real regression of the arena fast path.
-    assert timings["untraced_flat"] * 1.5 < timings["untraced_object"], (
-        f"flat untraced sweep ({timings['untraced_flat']:.3f}s) should "
-        f"beat object kernels ({timings['untraced_object']:.3f}s) clearly"
-    )
-    # The vector kernels land >3x over the counter-fused scalar loops on
-    # the long-span sweep on an idle machine; 2x leaves room for noise.
-    assert timings["vspan_vector"] * 2.0 < timings["vspan_counters"], (
+    # The batched leaves land >3x over the scalar leaf loops on the
+    # long-span sweep on an idle machine; 2x leaves room for noise.
+    assert timings["vspan_vector"] * 2.0 < timings["vspan_scalar"], (
         f"vector sweep ({timings['vspan_vector']:.3f}s) should beat the "
-        f"counter-fused path ({timings['vspan_counters']:.3f}s) clearly"
+        f"scalar leaf loops ({timings['vspan_scalar']:.3f}s) clearly"
     )
-    # Model fusion lands ~5x over the traced kernels on buffered specs
-    # on an idle machine; 2x leaves room for CI noise while catching a
-    # real regression of the fused fast path.
-    assert timings["buffered_fused"] * 2.0 < timings["buffered_traced"], (
-        f"fused buffered sweep ({timings['buffered_fused']:.3f}s) should "
-        f"beat the traced path ({timings['buffered_traced']:.3f}s) clearly"
-    )
-    # Tiny spans all take the vector kernels' scalar fallback, so
-    # vector must stay in the same league as fused on the buffered
-    # sweep (no numpy overhead without a win to pay for it).
-    assert timings["buffered_vector"] < timings["buffered_fused"] * 1.5, (
+    # The vector kernels land ~5x over the traced interpreter on
+    # buffered specs on an idle machine; 2x leaves room for CI noise
+    # while catching a real regression of the fast path.
+    assert timings["buffered_vector"] * 2.0 \
+        < timings["buffered_interpreter"], (
         f"vector buffered sweep ({timings['buffered_vector']:.3f}s) "
-        f"should track the fused path "
-        f"({timings['buffered_fused']:.3f}s)"
+        f"should beat the traced interpreter "
+        f"({timings['buffered_interpreter']:.3f}s) clearly"
     )
-    # The parallel pruned search lands >=2x over the serial exhaustive
-    # traced sweep on an idle machine (identical best candidate asserted
-    # inside _run_search); 1.5x leaves room for CI noise.
-    assert timings["search_parallel_pruned"] * 1.5 \
+    # The analytically pruned search lands >=2x over the serial
+    # exhaustive sweep on an idle machine (identical best candidate
+    # asserted inside _run_search); 1.5x leaves room for CI noise.
+    assert timings["search_pruned"] * 1.5 \
         < timings["search_serial_exhaustive"], (
-        f"pruned search ({timings['search_parallel_pruned']:.3f}s) should "
-        f"beat the serial exhaustive sweep "
+        f"pruned search ({timings['search_pruned']:.3f}s) should beat "
+        f"the serial exhaustive sweep "
         f"({timings['search_serial_exhaustive']:.3f}s) clearly"
     )
-    # Statistics pricing lands >=100x over the counter-fused kernels on
-    # an idle machine; 20x leaves a wide noise berth while still
-    # catching any real regression of the analytical fast path.
-    assert timings["acand_analytical"] * 20.0 \
-        < timings["acand_counters"], (
+    # Statistics pricing lands >=100x over the vector kernels on an
+    # idle machine; 20x leaves a wide noise berth while still catching
+    # any real regression of the analytical fast path.
+    assert timings["acand_analytical"] * 20.0 < timings["acand_auto"], (
         f"analytical pricing ({timings['acand_analytical']:.4f}s) should "
-        f"beat the counter-fused sweep "
-        f"({timings['acand_counters']:.3f}s) by orders of magnitude"
+        f"beat the vector sweep ({timings['acand_auto']:.3f}s) by "
+        f"orders of magnitude"
     )
 
 
@@ -1204,7 +1118,7 @@ if __name__ == "__main__":
                         help="comma-separated engine subset "
                              f"(choices: {', '.join(ALL_FLAVORS)})")
     parser.add_argument("--nnz-sweep", action="store_true",
-                        help="run the counted-vs-vector nnz scaling "
+                        help="run the trace-vs-vector nnz scaling "
                              "curve instead of the workload sweep")
     parser.add_argument("--nnz-sizes", default=None,
                         help="comma-separated nonzero counts for "

@@ -8,8 +8,9 @@ generated-Python backend is the default execution engine.  This example:
 1. prints the actual Python source generated for an occupancy-follower
    SpMSpM mapping (Gamma-style leader/follower partitioning — virtual
    levels and runtime windows compile like everything else);
-2. executes the generated kernel and checks it against the interpreting
-   executor and numpy;
+2. executes the generated vector kernel over flat arenas, checks its
+   output against the interpreting executor and numpy, and prints the
+   trace tallies it gathered on the way;
 3. shows backend selection (``evaluate(..., backend=...)``) and the
    batched ``evaluate_many`` API, which compiles a spec once and fans it
    out across a sweep of workloads through the compile cache.
@@ -22,11 +23,13 @@ import time
 import numpy as np
 
 from repro.einsum import ARITHMETIC
-from repro.fibertree import tensor_from_dense, tensor_to_dense
+from repro.fibertree import arena_from_tensor, tensor_from_dense, \
+    tensor_to_dense
 from repro.ir import build_ir
 from repro.ir.codegen import compile_ir
 from repro.model import evaluate, evaluate_many, execute_cascade
 from repro.model.executor import prepare_tensor
+from repro.model.traces import KernelCounters
 from repro.spec import load_spec
 
 SPEC = """
@@ -46,6 +49,16 @@ mapping:
 """
 
 
+class DramOnly:
+    """A routing plan sending every touch to DRAM: the kernel then just
+    tallies the touches in its counters (``evaluate`` passes a plan that
+    routes buffered data to inlined buffet/cache state machines)."""
+
+    @staticmethod
+    def port(tensor, rank, kind):
+        return None
+
+
 def main():
     spec = load_spec(SPEC, name="generated-demo")
     ir = build_ir(spec, "Z")
@@ -53,7 +66,7 @@ def main():
 
     print("=" * 70)
     print("Generated simulator source (occupancy follower: B adopts A's")
-    print("partition windows at runtime — note rt.window/rt.window_of):")
+    print("partition windows at runtime — note rt.window_span):")
     print("=" * 70)
     # Show the kernel function itself (skip the shared prelude).
     print(source[source.index("def kernel") :])
@@ -66,18 +79,20 @@ def main():
         "B": tensor_from_dense("B", ["K", "N"], b.astype(float)),
     }
 
-    prepared = {
-        plan.tensor: prepare_tensor(
+    arenas = {
+        plan.tensor: arena_from_tensor(prepare_tensor(
             tensors[plan.tensor],
             spec.mapping.rank_order_of(
                 plan.tensor, spec.einsum.ranks_of(plan.tensor)
             ),
             plan.prep,
-        )
+        ))
         for plan in ir.accesses
     }
     shapes = {"K": 24, "M": 16, "N": 12}
-    generated = kernel(prepared, ARITHMETIC, shapes).prune_empty()
+    counters = KernelCounters()
+    generated = kernel(arenas, ARITHMETIC, shapes, counters,
+                       DramOnly()).prune_empty()
 
     interpreted = execute_cascade(spec, tensors)["Z"]
     expected = a.astype(float).T @ b.astype(float)
@@ -89,6 +104,9 @@ def main():
     print("=" * 70)
     print(f"generated simulator == interpreter == numpy "
           f"(Z nnz={generated.nnz})")
+    print("kernel tallies: reads", dict(counters.reads))
+    print("                intersections (visited, matched)",
+          dict(counters.isects))
 
     # ------------------------------------------------------------------
     # Backend selection: the full evaluation (traffic/time/energy) runs

@@ -27,7 +27,7 @@ class OpSet:
     # Identity of `add`, used to seed reductions.
     zero: Any = 0
     # Whether `mul` is numpy-elementwise and `add` is IEEE `+`, so the
-    # vector kernel flavor may evaluate whole leaf spans with batched
+    # vector kernels may evaluate whole leaf spans with batched
     # numpy ops (and reduce them with np.add.accumulate) bit-identically
     # to the scalar loop.  Off by default: a custom OpSet must opt in.
     vector_ok: bool = False

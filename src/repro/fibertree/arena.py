@@ -22,12 +22,12 @@ Machine streams fastest):
   (split chunks record their partition windows here so occupancy followers
   can adopt a leader's boundaries).
 
-The numpy buffers are what the *vector* kernel flavor
-(:mod:`repro.ir.codegen_flat`) consumes: whole leaf spans price through
-``searchsorted``-style batched ops.  The scalar kernel flavors (flat /
-counted / fused) instead bind the memoized :meth:`scalar_buffers` views —
-plain Python lists, which CPython indexes faster than any array type —
-so arena storage being numpy never slows the element-at-a-time loops.
+The numpy buffers are what the vector kernels' batched leaves
+(:mod:`repro.ir.codegen_flat`) consume: whole leaf spans price through
+``searchsorted``-style batched ops.  The kernels' scalar loops instead
+bind the memoized :meth:`scalar_buffers` views — plain Python lists,
+which CPython indexes faster than any array type — so arena storage
+being numpy never slows the element-at-a-time loops.
 :class:`FlatFiberView` offers a cheap, read-only fiber-shaped view over an
 arena span for inspection and interop.
 """
@@ -185,7 +185,7 @@ class FlatArena:
     def scalar_buffers(self):
         """Memoized ``(coords_lists, segs_lists, vals_list)`` views.
 
-        The element-at-a-time kernel flavors bind these instead of the
+        The kernels' element-at-a-time loops bind these instead of the
         raw numpy buffers: CPython list indexing returns interned small
         ints / existing float objects with no boxing, which is both
         faster than ndarray item access and — more importantly —

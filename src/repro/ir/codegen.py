@@ -12,19 +12,20 @@ Supported: plain/flat/upper levels, eager shape and occupancy splits,
 occupancy *followers* (virtual levels with runtime partition windows),
 flattening, inferred swizzles, lookups (including chunk search), affine
 projection, intersect/union/single co-iteration, take()/Mul/Add leaves,
-dense iteration for undriven ranks.  Every mapping the interpreter
-supports also compiles; the one remaining restriction is an Einsum that
-reads the same tensor twice with *different* preprocessing (the generated
-kernel receives one prepared tensor per name).
+dense iteration for undriven ranks.  The generator refuses (with
+:class:`CodegenError`) an Einsum that reads the same tensor twice with
+*different* preprocessing, or an access with no physical level; such
+specs run on the interpreter.
 
-Two flavors of kernel are generated from the same IR:
-
-* the **fast** kernel ``kernel(tensors, opset, shapes)`` — pure
-  computation, no instrumentation; and
-* the **traced** kernel ``kernel(tensors, opset, shapes, sink)`` — emits
-  the exact trace-event stream (reads, writes, intersections, computes,
-  in the same order) as the interpreter, so the component models price
-  both backends identically.
+One kernel is generated per Einsum: the arena-native *vector* kernel of
+:mod:`repro.ir.codegen_flat`.  It walks
+:class:`~repro.fibertree.arena.FlatArena` spans, tallies the aggregates
+of the interpreter's trace-event stream into a
+:class:`~repro.model.traces.KernelCounters`, drives the buffet/cache
+state machines a routing plan hands it, and batches eligible
+innermost-rank spans through numpy.  This module holds the pieces the
+generator shares: the emitter, the index-expression helpers, the module
+prelude, and :func:`compile_ir`.
 
 Backend selection lives in :mod:`repro.model.backend`: ``evaluate(...,
 backend="compiled"|"interpreter"|"auto")`` and ``evaluate_many(spec,
@@ -33,9 +34,8 @@ workloads, ...)`` pick kernels out of a process-wide compile cache.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Set
 
-from ..einsum.ast import Access, Add, Expr, Mul, Take
 from .nodes import FLAT, FLAT_UPPER, PLAIN, UPPER, VIRTUAL, LoopNestIR
 
 
@@ -120,489 +120,6 @@ def _existential_ranks(ir: LoopNestIR) -> Set[str]:
     return out
 
 
-class _Generator:
-    """Emits one kernel (fast or traced) for one lowered Einsum."""
-
-    def __init__(self, ir: LoopNestIR, func_name: str, traced: bool):
-        self.ir = ir
-        self.func_name = func_name
-        self.traced = traced
-        self.em = _Emitter()
-        self.existential = _existential_ranks(ir)
-        self.stamp_ranks = (set(ir.time_ranks) | set(ir.space_ranks)) \
-            if traced else set()
-        self.n_ranks = len(ir.loop_ranks)
-        self._tmp_count = 0
-
-    # ------------------------------------------------------------------
-    def generate(self) -> str:
-        ir, em = self.ir, self.em
-        preps: Dict[str, tuple] = {}
-        for plan in ir.accesses:
-            prep = tuple(plan.prep)
-            if preps.setdefault(plan.tensor, prep) != prep:
-                raise CodegenError(
-                    f"tensor {plan.tensor} is accessed twice with different "
-                    "preprocessing; use the interpreter"
-                )
-
-        args = "tensors, opset, shapes, sink" if self.traced \
-            else "tensors, opset, shapes"
-        em.emit(f"def {self.func_name}({args}):")
-        em.indent += 1
-        flavor = "traced" if self.traced else "fast"
-        em.emit(f'"""Generated ({flavor}) from: {ir.einsum}"""')
-        # Cursor roots, one per access (duplicate tensors share a root).
-        for i, plan in enumerate(ir.accesses):
-            em.emit(f"n{i}_0 = tensors[{plan.tensor!r}].root")
-            if self.traced:
-                em.emit(f"h{i}_0 = ()")
-        em.emit("out = Fiber()")
-        if self.traced:
-            em.emit("ctx = []")
-            for rank in sorted(self.stamp_ranks):
-                em.emit(f"st_{rank} = 0")
-        if self.existential:
-            em.emit("wr_0 = False")
-        depths = {i: 0 for i in range(len(ir.accesses))}
-        # Literal-index levels (e.g. the FFT's P[0, k0, n1, 0]) are bound
-        # before any loop runs; advance those cursors up front.
-        self._lookups(level=-1, depths=depths)
-        self._rank(0, depths, wins={}, guarded=set())
-        em.emit(
-            "return Tensor("
-            f"{ir.output.tensor!r}, {ir.output.storage_ranks!r}, out, "
-            f"[shapes.get(r) for r in {ir.output.storage_ranks!r}])"
-        )
-        em.indent -= 1
-        return em.source()
-
-    # ------------------------------------------------------------------
-    def _dead_guard(self, depths: Dict[int, int], guarded: Set[str]) -> int:
-        """Prune subtrees where a conjunctive access has gone empty.
-
-        Mirrors the interpreter's participant check: an empty conjunctive
-        cursor makes the whole subtree ineffectual, so neither outputs nor
-        trace events are produced below it.  Returns the indent to close.
-        """
-        names = []
-        for i, plan in enumerate(self.ir.accesses):
-            name = f"n{i}_{depths[i]}"
-            if plan.conjunctive and depths[i] > 0 and name not in guarded:
-                names.append(name)
-                guarded.add(name)
-        if not names:
-            return 0
-        cond = " or ".join(f"{n} is None" for n in names)
-        self.em.emit(f"if not ({cond}):")
-        self.em.indent += 1
-        return 1
-
-    # ------------------------------------------------------------------
-    def _rank(self, level: int, depths: Dict[int, int],
-              wins: Dict[str, str], guarded: Set[str]) -> None:
-        ir, em = self.ir, self.em
-        if level == self.n_ranks:
-            self._leaf(depths)
-            return
-        rank = ir.loop_ranks[level]
-        binds = ir.binds.get(rank, ())
-
-        guarded = set(guarded)
-        close = self._dead_guard(depths, guarded)
-
-        drivers: List[Tuple[int, object]] = []
-        virtual: List[int] = []
-        for i, plan in enumerate(ir.accesses):
-            d = depths[i]
-            if d < len(plan.levels) and plan.levels[d].rank == rank:
-                lvl = plan.levels[d]
-                if lvl.kind == VIRTUAL:
-                    virtual.append(i)
-                elif _drivable(lvl, binds):
-                    drivers.append((i, lvl))
-
-        new_depths = dict(depths)
-        if not drivers:
-            if virtual or rank in _statically_driven(ir):
-                raise CodegenError(
-                    f"rank {rank} is driven only dynamically; unsupported"
-                )
-            self._dense(level, rank, binds, new_depths, wins, guarded)
-            em.indent -= close
-            return
-
-        fiber_exprs = []
-        for i, lvl in drivers:
-            base = f"n{i}_{depths[i]}"
-            if lvl.kind == PLAIN and not lvl.exprs[0].is_var:
-                e = lvl.exprs[0]
-                bound = [f"v_{v}" for v in e.vars if v != binds[0]]
-                offset = " + ".join(bound + [str(e.const)]) or "0"
-                origin = ir.origin.get(rank, rank)
-                fiber_exprs.append(
-                    f"rt.project({base}, -({offset}), shapes[{origin!r}])"
-                )
-            elif lvl.kind == PLAIN and lvl.exprs[0].is_var and lvl.of in wins:
-                # Occupancy follower: restrict to the leader's partition
-                # window established at the enclosing split-upper rank.
-                fiber_exprs.append(f"rt.window({base}, {wins[lvl.of]})")
-            else:
-                fiber_exprs.append(base)
-            new_depths[i] = depths[i] + 1
-        for i in virtual:
-            new_depths[i] = depths[i] + 1
-
-        mode = ir.modes.get(rank, "single")
-        trace_arg = ""
-        if self.traced:
-            if len(drivers) == 1:
-                i, lvl = drivers[0]
-                of = lvl.of or lvl.rank
-                trace_arg = (
-                    f", trace=(sink, {ir.accesses[i].tensor!r}, {of!r}, "
-                    f"h{i}_{depths[i]}, ctx)"
-                )
-            else:
-                infos = ", ".join(
-                    f"({ir.accesses[i].tensor!r}, {(lvl.of or lvl.rank)!r}, "
-                    f"h{i}_{depths[i]})"
-                    for i, lvl in drivers
-                )
-                trace_arg = f", trace=(sink, {rank!r}, [{infos}], ctx)"
-        if len(drivers) == 1:
-            call = f"rt.iterate({fiber_exprs[0]}{trace_arg})"
-        elif mode == "union":
-            call = f"rt.coiterate_union({', '.join(fiber_exprs)}{trace_arg})"
-        else:
-            call = (
-                f"rt.coiterate_intersect({', '.join(fiber_exprs)}{trace_arg})"
-            )
-
-        payloads = ", ".join(f"p{i}" for i, _ in drivers)
-        if rank in self.stamp_ranks:
-            em.emit(f"for po_{rank}, (c_{rank}, [{payloads}]) "
-                    f"in enumerate({call}):")
-        else:
-            em.emit(f"for c_{rank}, [{payloads}] in {call}:")
-        em.indent += 1
-        if len(binds) == 1:
-            em.emit(f"v_{binds[0]} = c_{rank}")
-        elif len(binds) > 1:
-            em.emit(f"{', '.join('v_' + v for v in binds)} = c_{rank}")
-        if self.existential:
-            em.emit(f"wr_{level + 1} = False")
-
-        wins2 = dict(wins)
-        for i, lvl in drivers:
-            d = depths[i]
-            if self.traced:
-                of = lvl.of or lvl.rank
-                em.emit(f"if p{i} is not None:")
-                em.indent += 1
-                em.emit(
-                    f"sink.read({ir.accesses[i].tensor!r}, {of!r}, "
-                    f"'payload', h{i}_{d} + (c_{rank},), ctx)"
-                )
-                em.indent -= 1
-            em.emit(f"n{i}_{d + 1} = p{i}")
-            if self.traced:
-                em.emit(f"h{i}_{d + 1} = h{i}_{d} + (c_{rank},)")
-            if lvl.kind in (UPPER, FLAT_UPPER):
-                prev = wins2.get(lvl.of, "None")
-                em.emit(f"w_{lvl.of} = rt.window_of(p{i}, {prev})")
-                wins2[lvl.of] = f"w_{lvl.of}"
-        for i in virtual:
-            d = depths[i]
-            em.emit(f"n{i}_{d + 1} = n{i}_{d}")
-            if self.traced:
-                em.emit(f"h{i}_{d + 1} = h{i}_{d}")
-        if rank in self.stamp_ranks:
-            style = ir.time_styles.get(rank, "pos")
-            src = f"c_{rank}" if style == "coord" else f"po_{rank}"
-            em.emit(f"st_{rank} = {src}")
-        if self.traced:
-            em.emit(f"ctx.append(({rank!r}, c_{rank}))")
-        self._lookups(level, new_depths)
-        self._rank(level + 1, new_depths, wins2, guarded)
-        if self.traced:
-            em.emit("ctx.pop()")
-        self._propagate_wrote(level, rank)
-        em.indent -= 1
-        em.indent -= close
-
-    # ------------------------------------------------------------------
-    def _propagate_wrote(self, level: int, rank: str) -> None:
-        if not self.existential:
-            return
-        em = self.em
-        em.emit(f"if wr_{level + 1}:")
-        em.indent += 1
-        em.emit(f"wr_{level} = True")
-        if rank in self.existential:
-            em.emit("break")
-        em.indent -= 1
-
-    # ------------------------------------------------------------------
-    def _dense(self, level: int, rank: str, binds, depths: Dict[int, int],
-               wins: Dict[str, str], guarded: Set[str]) -> None:
-        ir, em = self.ir, self.em
-        if len(binds) != 1:
-            raise CodegenError(f"cannot iterate rank {rank} densely")
-        origin = ir.origin.get(rank, rank)
-        var = binds[0]
-        em.emit(f"for v_{var} in range(shapes[{origin!r}]):")
-        em.indent += 1
-        if self.existential:
-            em.emit(f"wr_{level + 1} = False")
-        if rank in self.stamp_ranks:
-            em.emit(f"st_{rank} = v_{var}")
-        if self.traced:
-            em.emit(f"ctx.append(({rank!r}, v_{var}))")
-        self._lookups(level, depths)
-        self._rank(level + 1, depths, wins, guarded)
-        if self.traced:
-            em.emit("ctx.pop()")
-        self._propagate_wrote(level, rank)
-        em.indent -= 1
-
-    # ------------------------------------------------------------------
-    def _lookups(self, level: int, depths: Dict[int, int]) -> None:
-        """Advance cursors through levels fully bound after this rank."""
-        ir, em = self.ir, self.em
-        bound_vars = set()
-        for r in ir.loop_ranks[: level + 1]:
-            bound_vars.update(ir.binds.get(r, ()))
-        for i, plan in enumerate(ir.accesses):
-            d = depths[i]
-            while d < len(plan.levels):
-                lvl = plan.levels[d]
-                if lvl.kind == VIRTUAL:
-                    break  # virtual levels advance only at their loop rank
-                later_rank = lvl.rank in ir.loop_ranks[level + 1:]
-                of = lvl.of or lvl.rank
-                if lvl.kind in (UPPER, FLAT_UPPER):
-                    below = _physical_below(plan, d, lvl.of)
-                    if below is None or any(
-                        set(e.vars) - bound_vars for e in below.exprs
-                    ) or later_rank and _drivable(
-                        lvl, ir.binds.get(lvl.rank, ())
-                    ):
-                        break
-                    target = _coord_code(below)
-                    if self.traced:
-                        em.emit(
-                            f"n{i}_{d + 1}, h{i}_{d + 1} = rt.lookup_chunk_t("
-                            f"n{i}_{d}, {target}, h{i}_{d}, sink, "
-                            f"{plan.tensor!r}, {of!r}, ctx)"
-                        )
-                    else:
-                        em.emit(
-                            f"n{i}_{d + 1} = rt.lookup_chunk(n{i}_{d}, "
-                            f"{target})"
-                        )
-                    d += 1
-                    depths[i] = d
-                    continue
-                unbound = any(set(e.vars) - bound_vars for e in lvl.exprs)
-                if unbound:
-                    break
-                if later_rank and _drivable(lvl, ir.binds.get(lvl.rank, ())):
-                    break  # it will drive its own loop
-                if self.traced:
-                    em.emit(
-                        f"n{i}_{d + 1}, h{i}_{d + 1} = rt.lookup_t("
-                        f"n{i}_{d}, {_coord_code(lvl)}, h{i}_{d}, sink, "
-                        f"{plan.tensor!r}, {of!r}, ctx)"
-                    )
-                else:
-                    em.emit(
-                        f"n{i}_{d + 1} = rt.lookup(n{i}_{d}, "
-                        f"{_coord_code(lvl)})"
-                    )
-                d += 1
-                depths[i] = d
-
-    # ------------------------------------------------------------------
-    def _leaf(self, depths: Dict[int, int]) -> None:
-        if self.traced:
-            self._leaf_traced(depths)
-        else:
-            self._leaf_fast(depths)
-
-    def _leaf_fast(self, depths: Dict[int, int]) -> None:
-        ir, em = self.ir, self.em
-        counter = [0]
-        value = _fast_expr(ir.einsum.expr, depths, counter)
-        point = _point_code(ir.output.indices)
-        overwrite = "True" if ir.einsum.is_take else "False"
-        em.emit(f"value = {value}")
-        em.emit("if value is not None:")
-        em.indent += 1
-        em.emit(f"rt.reduce_into(out, {point}, value, opset, {overwrite})")
-        if self.existential:
-            em.emit(f"wr_{self.n_ranks} = True")
-        em.indent -= 1
-
-    def _leaf_traced(self, depths: Dict[int, int]) -> None:
-        ir, em = self.ir, self.em
-        em.emit("mu = 0")
-        em.emit("ad = 0")
-        counter = [0]
-        value = self._traced_expr(ir.einsum.expr, depths, counter)
-        point = _point_code(ir.output.indices)
-        overwrite = "True" if ir.einsum.is_take else "False"
-        em.emit(f"if {value} is not None:")
-        em.indent += 1
-        em.emit(
-            f"ad += rt.reduce_into(out, {point}, {value}, opset, {overwrite})"
-        )
-        ts = "(" + "".join(f"st_{r}, " for r in ir.time_ranks) + ")"
-        ss = "(" + "".join(f"st_{r}, " for r in ir.space_ranks) + ")"
-        em.emit("if mu:")
-        em.indent += 1
-        em.emit(f"sink.compute('mul', mu, {ts}, {ss})")
-        em.indent -= 1
-        em.emit("if ad:")
-        em.indent += 1
-        em.emit(f"sink.compute('add', ad, {ts}, {ss})")
-        em.indent -= 1
-        em.emit("if not mu and not ad:")
-        em.indent += 1
-        em.emit(f"sink.compute('copy', 1, {ts}, {ss})")
-        em.indent -= 1
-        out_rank = (ir.output.storage_ranks[-1]
-                    if ir.output.storage_ranks else "root")
-        em.emit(
-            f"sink.write({ir.output.tensor!r}, {out_rank!r}, 'elem', "
-            f"{point}, ctx)"
-        )
-        if self.existential:
-            em.emit(f"wr_{self.n_ranks} = True")
-        em.indent -= 1
-
-    # ------------------------------------------------------------------
-    def _tmp(self) -> str:
-        self._tmp_count += 1
-        return f"t{self._tmp_count}"
-
-    def _traced_expr(self, expr: Expr, depths, counter) -> str:
-        """Emit statements computing the leaf value with exact op counts.
-
-        Mirrors the interpreter's ``_evaluate``: sub-expressions are always
-        evaluated (their op counts accumulate into ``mu``/``ad``), but a
-        combining operation is only counted when it actually executes.
-        """
-        em = self.em
-        if isinstance(expr, Access):
-            i = counter[0]
-            counter[0] += 1
-            v = self._tmp()
-            em.emit(f"{v} = rt.scalar(n{i}_{depths[i]})")
-            return v
-        if isinstance(expr, Mul):
-            parts = [self._traced_expr(f, depths, counter)
-                     for f in expr.factors]
-            v = self._tmp()
-            cond = " or ".join(f"{p} is None" for p in parts)
-            em.emit(f"if {cond}:")
-            em.indent += 1
-            em.emit(f"{v} = None")
-            em.indent -= 1
-            em.emit("else:")
-            em.indent += 1
-            folded = parts[0]
-            for p in parts[1:]:
-                folded = f"opset.mul({folded}, {p})"
-            em.emit(f"{v} = {folded}")
-            em.emit(f"mu += {len(parts) - 1}")
-            em.indent -= 1
-            return v
-        if isinstance(expr, Add):
-            left = self._traced_expr(expr.left, depths, counter)
-            right = self._traced_expr(expr.right, depths, counter)
-            v = self._tmp()
-            em.emit(f"if {left} is None and {right} is None:")
-            em.indent += 1
-            em.emit(f"{v} = None")
-            em.indent -= 1
-            em.emit(f"elif {right} is None:")
-            em.indent += 1
-            em.emit(f"{v} = {left}")
-            em.indent -= 1
-            em.emit(f"elif {left} is None:")
-            em.indent += 1
-            em.emit(f"{v} = {'None' if expr.negate else right}")
-            em.indent -= 1
-            em.emit("else:")
-            em.indent += 1
-            op = "sub" if expr.negate else "add"
-            em.emit(f"{v} = opset.{op}({left}, {right})")
-            em.emit("ad += 1")
-            em.indent -= 1
-            return v
-        if isinstance(expr, Take):
-            args = []
-            for _ in expr.args:
-                i = counter[0]
-                counter[0] += 1
-                a = self._tmp()
-                em.emit(f"{a} = rt.scalar(n{i}_{depths[i]})")
-                args.append(a)
-            v = self._tmp()
-            cond = " or ".join(f"{a} is None" for a in args)
-            em.emit(f"if {cond}:")
-            em.indent += 1
-            em.emit(f"{v} = None")
-            em.indent -= 1
-            em.emit("else:")
-            em.indent += 1
-            em.emit(f"{v} = {args[expr.which]}")
-            em.indent -= 1
-            return v
-        raise CodegenError(f"cannot generate code for {expr!r}")
-
-
-def _fast_expr(expr: Expr, depths, counter) -> str:
-    """Python expression computing the leaf value (None = ineffectual)."""
-    if isinstance(expr, Access):
-        i = counter[0]
-        counter[0] += 1
-        return f"rt.scalar(n{i}_{depths[i]})"
-    if isinstance(expr, Mul):
-        parts = [_fast_expr(f, depths, counter) for f in expr.factors]
-        inner = parts[0]
-        for p in parts[1:]:
-            inner = f"_mul(opset, {inner}, {p})"
-        return inner
-    if isinstance(expr, Add):
-        left = _fast_expr(expr.left, depths, counter)
-        right = _fast_expr(expr.right, depths, counter)
-        op = "_sub" if expr.negate else "_add"
-        return f"{op}(opset, {left}, {right})"
-    if isinstance(expr, Take):
-        args = []
-        for _ in expr.args:
-            i = counter[0]
-            counter[0] += 1
-            args.append(f"rt.scalar(n{i}_{depths[i]})")
-        return f"_take([{', '.join(args)}], {expr.which})"
-    raise CodegenError(f"cannot generate code for {expr!r}")
-
-
-def generate_source(ir: LoopNestIR, func_name: str = "kernel",
-                    traced: bool = False) -> str:
-    """Generate Python source for one lowered Einsum.
-
-    The generated function has the signature ``kernel(tensors, opset,
-    shapes)`` (or ``..., sink`` when ``traced``) where ``tensors`` maps
-    names to *prepared* tensors (rank-order swizzle and prep steps already
-    applied, e.g. via :func:`repro.model.executor.prepare_tensor`) and
-    returns the output :class:`~repro.fibertree.tensor.Tensor`.
-    """
-    return _Generator(ir, func_name, traced).generate()
-
-
 _PRELUDE = '''"""TeAAL-generated simulator module."""
 
 from bisect import bisect_left as _bl
@@ -612,91 +129,19 @@ from repro.fibertree.tensor import Tensor
 import repro.ir.codegen_runtime as rt
 
 
-def _mul(opset, a, b):
-    if a is None or b is None:
-        return None
-    return opset.mul(a, b)
-
-
-def _add(opset, a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return opset.add(a, b)
-
-
-def _sub(opset, a, b):
-    if a is None:
-        return None
-    if b is None:
-        return a
-    return opset.sub(a, b)
-
-
-def _take(args, which):
-    if any(a is None for a in args):
-        return None
-    return args[which]
-
-
 '''
 
 
-def generate_module(irs, name: str = "generated") -> str:
-    """Full module source: prelude + one function per Einsum + a driver."""
-    parts = [_PRELUDE]
-    names = []
-    for ir in irs:
-        fname = f"compute_{ir.name.lower()}"
-        names.append((fname, ir.name))
-        parts.append(generate_source(ir, fname))
-        parts.append("\n")
-    parts.append("def run_cascade(tensors, opset, shapes, prepare):\n")
-    parts.append('    """Run every Einsum in cascade order.\n\n'
-                 "    ``prepare(name, env)`` returns the prepared tensors "
-                 'for one Einsum.\n    """\n')
-    parts.append("    env = dict(tensors)\n")
-    for fname, out in names:
-        parts.append(
-            f"    env[{out!r}] = {fname}(prepare({out!r}, env), opset, "
-            "shapes).prune_empty()\n"
-        )
-    parts.append("    return env\n")
-    return "".join(parts)
+def compile_ir(ir: LoopNestIR, func_name: str = "kernel"):
+    """Compile one Einsum's vector kernel and return ``(function, source)``.
 
-
-#: Kernel flavors: object-cursor kernels ("fast"/"traced") walk boxed
-#: fibers; arena-native kernels ("flat"/"counted"/"fused") walk FlatArena
-#: spans (see :mod:`repro.ir.codegen_flat`).  "fused" inlines the
-#: buffet/cache component state machines into the arena loops.
-KERNEL_FLAVORS = ("fast", "traced", "flat", "counted", "fused", "vector")
-
-
-def compile_ir(ir: LoopNestIR, func_name: str = "kernel",
-               traced: bool = False, flavor: str = None):
-    """Compile one Einsum's generated source and return the function.
-
-    ``flavor`` selects the kernel variant (see :data:`KERNEL_FLAVORS`);
-    when omitted, ``traced`` picks between the two object-cursor flavors
-    for backward compatibility.
+    The kernel's signature is ``kernel(arenas, opset, shapes, kc, fm)``
+    (see :mod:`repro.ir.codegen_flat`).  Raises :class:`CodegenError`
+    when the generator cannot express the Einsum.
     """
-    if flavor is None:
-        flavor = "traced" if traced else "fast"
-    if flavor in ("fast", "traced"):
-        body = generate_source(ir, func_name, traced=(flavor == "traced"))
-    elif flavor in ("flat", "counted", "fused", "vector"):
-        from .codegen_flat import generate_flat_source
+    from .codegen_flat import generate_flat_source
 
-        body = generate_flat_source(ir, func_name,
-                                    counted=(flavor == "counted"),
-                                    fused=(flavor == "fused"),
-                                    vector=(flavor == "vector"))
-    else:
-        raise ValueError(
-            f"unknown kernel flavor {flavor!r}; known: {KERNEL_FLAVORS}"
-        )
-    source = _PRELUDE + body
+    source = _PRELUDE + generate_flat_source(ir, func_name)
     namespace: Dict[str, object] = {}
-    exec(compile(source, f"<teaal:{ir.name}:{flavor}>", "exec"), namespace)
+    exec(compile(source, f"<teaal:{ir.name}>", "exec"), namespace)
     return namespace[func_name], source

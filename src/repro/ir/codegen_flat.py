@@ -1,49 +1,48 @@
-"""Flat code generation: loop nests over arena spans instead of fibers.
+"""Vector code generation: loop nests over arena spans.
 
-:mod:`repro.ir.codegen` lowers an Einsum to kernels that walk boxed
-:class:`~repro.fibertree.fiber.Fiber` objects.  This module lowers the
-*same* IR to kernels that operate natively on
-:class:`~repro.fibertree.arena.FlatArena` buffers: every cursor is a
+This module lowers an Einsum's IR to the one compiled kernel the model
+runs, ``kernel(arenas, opset, shapes, kc, fm)``, which operates natively
+on :class:`~repro.fibertree.arena.FlatArena` buffers: every cursor is a
 half-open position span ``[lo, hi)`` into one level's flat coordinate
 array, iteration is ``for p in range(lo, hi)``, descent is two segment
 loads, and two-way intersection is an inlined galloping merge on the raw
 coordinate buffers — no generators, no per-element payload lists, no
 ``Fiber`` allocation for windows, slices, or projections.
 
-Three flavors share one generator:
+The kernel prices as it walks, in three layers:
 
-* **flat** ``kernel(arenas, opset, shapes)`` — the untraced fast path;
-* **counted** ``kernel(arenas, opset, shapes, kc)`` — counter fusion:
-  instead of one :class:`~repro.model.traces.TraceSink` method call per
-  touched element, the kernel bumps local integer tallies (per
-  (tensor, rank, kind) reads/writes, per-rank intersection statistics,
-  per-op compute counts with their spacetime stamp sets) and flushes them
-  into a :class:`~repro.model.traces.KernelCounters` once at the end.
-  The tallies equal, exactly, the aggregates of the traced event stream —
-  including the subtle cases: lookup misses still count a coordinate
-  read, abandoned co-iterations (existential ``take()`` short-circuits)
-  keep their partial visit counts but drop the final ``isect`` event,
-  and ineffectual leaves price nothing.
-* **fused** ``kernel(arenas, opset, shapes, kc, fm)`` — model fusion:
-  everything the counted flavor does, plus the buffet/cache component
-  state machines inlined into the loops.  The kernel tracks coordinate
-  paths (``h`` vars) and loop-context prefixes (``cx`` vars) exactly as
-  the traced object kernels do, and at every touch site consults a
+* **Counters.**  Instead of one :class:`~repro.model.traces.TraceSink`
+  method call per touched element, the kernel bumps local integer
+  tallies (per (tensor, rank, kind) reads/writes, per-rank intersection
+  statistics, per-op compute counts with their spacetime stamp sets)
+  and flushes them into the :class:`~repro.model.traces.KernelCounters`
+  ``kc`` once at the end.  The tallies equal, exactly, the aggregates
+  of the interpreter's event stream — including the subtle cases:
+  lookup misses still count a coordinate read, abandoned co-iterations
+  (existential ``take()`` short-circuits) keep their partial visit
+  counts but drop the final ``isect`` event, and ineffectual leaves
+  price nothing.
+* **Component machines.**  The kernel tracks coordinate paths (``h``
+  vars) and loop-context prefixes (``cx`` vars) exactly as the
+  interpreter's events carry them, and at every touch site consults a
   *port* bound once at entry from ``fm`` (a
   :class:`repro.model.evaluate.FusedMachines` routing plan built from
   the binding spec at run time — the generated code itself stays
-  binding-independent, so fused kernels share the same compile-cache
-  entry across binding variations).  A ``None`` port means the touch
-  falls through to DRAM and bumps the fused counter; a live port is a
+  binding-independent, so one compiled kernel serves every binding).  A
+  ``None`` port means the touch falls through to DRAM and bumps a
+  counter; a live port is a
   :class:`~repro.ir.codegen_runtime.FusedBuffet` /
   :class:`~repro.ir.codegen_runtime.FusedCache` state machine receiving
-  the same (key, evict-window) sequence the traced
-  :class:`~repro.model.evaluate.ModelSink` would deliver.
+  the same (key, evict-window) sequence the
+  :class:`~repro.model.evaluate.ModelSink` would.  With a null routing
+  plan every port is ``None`` and the kernel is a pure counter kernel.
+* **Vector leaves.**  Eligible innermost-rank spans are priced with
+  batched numpy primitives; per-span runtime guards fall back to the
+  inline scalar loop, so results never depend on which path ran.
 
-The walk order, the guard structure, and every membership decision are
-copied from :class:`repro.ir.codegen._Generator` so the differential
-suite can hold all engines (interpreter, object kernels, flat kernels,
-fused kernels) to identical outputs and metrics.
+The walk order, the guard structure, and every membership decision
+follow the interpreter (:mod:`repro.model.executor`), and the
+differential suite holds the two to identical outputs and metrics.
 """
 
 from __future__ import annotations
@@ -66,22 +65,14 @@ from .codegen import (
 
 
 class _FlatGenerator:
-    """Emits one arena-native kernel (flat, counted, fused, or vector)
-    for one Einsum."""
+    """Emits the arena-native vector kernel for one Einsum."""
 
-    def __init__(self, ir: LoopNestIR, func_name: str, counted: bool,
-                 fused: bool = False, vector: bool = False):
+    def __init__(self, ir: LoopNestIR, func_name: str):
         self.ir = ir
         self.func_name = func_name
-        self.vector = vector
-        fused = fused or vector
-        self.counted = counted or fused
-        self.fused = fused
-        counted = self.counted
         self.em = _Emitter()  # body emitter (swapped in during generate)
         self.existential = _existential_ranks(ir)
-        self.stamp_ranks = (set(ir.time_ranks) | set(ir.space_ranks)) \
-            if counted else set()
+        self.stamp_ranks = set(ir.time_ranks) | set(ir.space_ranks)
         self.n_ranks = len(ir.loop_ranks)
         self._tmp_count = 0
         # Arena geometry per access: number of physical levels, and the
@@ -95,11 +86,11 @@ class _FlatGenerator:
                 at.append(at[-1] + (1 if lvl.is_physical else 0))
             self.level_at.append(at)
             self.n_phys.append(at[-1])
-        # Counter bookkeeping (counted/fused flavors only).
+        # Counter bookkeeping.
         self.read_ctrs: Dict[Tuple[str, str, str], str] = {}
         self.write_ctrs: Dict[Tuple[str, str, str], str] = {}
         self.isect_ranks: List[str] = []
-        # Component-machine ports (fused flavor): one per touched
+        # Component-machine ports: one per touched
         # (tensor, rank, kind) triple, bound from ``fm`` at kernel entry.
         self.ports: Dict[Tuple[str, str, str], str] = {}
         # Pair dispatchers: the bound ``read2`` of a machine that claims
@@ -133,10 +124,9 @@ class _FlatGenerator:
         else:
             self.em.emit(f"n{i}_{d}a = None")
             self.em.emit(f"n{i}_{d}b = None")
-        if self.fused:
-            # Keep the path var defined along absent branches; no event
-            # below an absent cursor ever reads it, so the value is moot.
-            self.em.emit(f"h{i}_{d} = ()")
+        # Keep the path var defined along absent branches; no event
+        # below an absent cursor ever reads it, so the value is moot.
+        self.em.emit(f"h{i}_{d} = ()")
 
     def _descend(self, i: int, d: int, pos: str) -> None:
         """Descend access ``i`` from depth ``d`` via element position ``pos``."""
@@ -154,11 +144,10 @@ class _FlatGenerator:
         else:
             self.em.emit(f"n{i}_{d + 1}a = n{i}_{d}a")
             self.em.emit(f"n{i}_{d + 1}b = n{i}_{d}b")
-        if self.fused:
-            self.em.emit(f"h{i}_{d + 1} = h{i}_{d}")
+        self.em.emit(f"h{i}_{d + 1} = h{i}_{d}")
 
     # ------------------------------------------------------------------
-    # Counter/port helpers (counted+fused flavors; no-ops for flat)
+    # Counter/port helpers
     # ------------------------------------------------------------------
     def _rctr(self, tensor: str, of: str, kind: str) -> str:
         key = (tensor, of, kind)
@@ -252,33 +241,18 @@ class _FlatGenerator:
         em.emit(f"{self._rctr(tensor, of, 'coord')} += 1")
         em.indent -= 1
 
-    def _bump_read(self, i: int, of: str, kind: str, amount: str = "1") -> None:
-        """Tally one (or ``amount``) DRAM-routed read events.
-
-        Only used where the fused flavor routes the site separately (or
-        not at all); sites a component machine may claim go through
-        :meth:`_emit_read` instead.
-        """
-        if self.counted:
-            tensor = self.ir.accesses[i].tensor
-            self.em.emit(f"{self._rctr(tensor, of, kind)} += {amount}")
-
-    def _emit_read(self, i: int, of: str, kind: str, key: str = None,
-                   cx: str = None) -> None:
-        """One read event: counter bump, or machine dispatch when fused.
+    def _emit_read(self, i: int, of: str, kind: str, key: str,
+                   cx: str) -> None:
+        """One read event: a counter bump when the port routes to DRAM,
+        a machine dispatch otherwise.
 
         ``key`` is the Python expression of the event's coordinate path
-        (the traced kernel's ``h`` + coord), ``cx`` the loop-context
-        prefix var; both are only evaluated on the machine branch.
+        (the interpreter's path + coord), ``cx`` the loop-context prefix
+        var; both are only evaluated on the machine branch.
         """
-        if not self.counted:
-            return
         em = self.em
         tensor = self.ir.accesses[i].tensor
         ctr = self._rctr(tensor, of, kind)
-        if not self.fused:
-            em.emit(f"{ctr} += 1")
-            return
         port = self._port(tensor, of, kind)
         em.emit(f"if {port}r is None:")
         em.indent += 1
@@ -304,7 +278,7 @@ class _FlatGenerator:
             if n == 0:
                 raise CodegenError(
                     f"access {ir.accesses[i].tensor} has no physical levels; "
-                    "flat kernels need at least one"
+                    "the vector kernels need at least one"
                 )
 
         body = _Emitter()
@@ -315,24 +289,15 @@ class _FlatGenerator:
         self._rank(0, depths, wins={}, guarded=set())
 
         head = _Emitter()
-        if self.fused:
-            args = "arenas, opset, shapes, kc, fm"
-        elif self.counted:
-            args = "arenas, opset, shapes, kc"
-        else:
-            args = "arenas, opset, shapes"
-        head.emit(f"def {self.func_name}({args}):")
+        head.emit(f"def {self.func_name}(arenas, opset, shapes, kc, fm):")
         head.indent += 1
-        flavor = "vector" if self.vector else (
-            "fused" if self.fused else (
-                "counted" if self.counted else "flat"))
-        head.emit(f'"""Generated ({flavor}, arena-native) from: {ir.einsum}"""')
+        head.emit(f'"""Generated (vector, arena-native) from: {ir.einsum}"""')
         for i, plan in enumerate(ir.accesses):
             n = self.n_phys[i]
             head.emit(f"_a{i} = arenas[{plan.tensor!r}]")
             # Scalar loops bind the memoized Python-list views: CPython
             # indexes lists faster than any array type, and list items
-            # are exactly the Python ints/floats the traced path sees.
+            # are exactly the Python ints/floats the interpreter sees.
             head.emit(f"_ac{i}, _as{i}, _av{i} = _a{i}.scalar_buffers()")
             for L in range(n):
                 head.emit(f"t{i}_c{L} = _ac{i}[{L}]")
@@ -350,58 +315,49 @@ class _FlatGenerator:
                 head.emit(f"t{i}_vn = _a{i}.np_vals()")
             head.emit(f"n{i}_0a = 0")
             head.emit(f"n{i}_0b = len(t{i}_c0)")
-            if self.fused:
-                head.emit(f"h{i}_0 = ()")
-        if self.vector:
-            head.emit("_vk = rt.vec_ok(opset)")
+            head.emit(f"h{i}_0 = ()")
+        head.emit("_vk = rt.vec_ok(opset)")
         head.emit("out = Fiber()")
         head.emit("_on = out")
         head.emit("_op = None")
-        if self.fused:
-            head.emit("cx0 = ()")
-            for (tensor, of, kind), var in self.ports.items():
-                head.emit(f"{var} = fm.port({tensor!r}, {of!r}, {kind!r})")
-                head.emit(f"{var}r = None if {var} is None else {var}.read")
-                head.emit(f"{var}w = None if {var} is None else {var}.write")
-            for (tensor, of), var in self.pairs.items():
-                pc = self.ports[(tensor, of, "coord")]
-                pp = self.ports[(tensor, of, "payload")]
-                head.emit(
-                    f"{var} = {pc}.read2 if ({pc} is not None and "
-                    f"{pc} is {pp}) else None"
-                )
-        if self.counted:
-            for var in self.read_ctrs.values():
-                head.emit(f"{var} = 0")
-            for var in self.write_ctrs.values():
-                head.emit(f"{var} = 0")
-            for rank in self.isect_ranks:
-                head.emit(f"iv_{rank} = 0")
-                head.emit(f"im_{rank} = 0")
-            for op in ("mul", "add", "copy"):
-                head.emit(f"cn_{op} = 0")
-                head.emit(f"cs_{op} = set()")
-                head.emit(f"cl_{op} = set()")
-            for rank in sorted(self.stamp_ranks):
-                head.emit(f"st_{rank} = 0")
+        head.emit("cx0 = ()")
+        for (tensor, of, kind), var in self.ports.items():
+            head.emit(f"{var} = fm.port({tensor!r}, {of!r}, {kind!r})")
+            head.emit(f"{var}r = None if {var} is None else {var}.read")
+            head.emit(f"{var}w = None if {var} is None else {var}.write")
+        for (tensor, of), var in self.pairs.items():
+            pc = self.ports[(tensor, of, "coord")]
+            pp = self.ports[(tensor, of, "payload")]
+            head.emit(
+                f"{var} = {pc}.read2 if ({pc} is not None and "
+                f"{pc} is {pp}) else None"
+            )
+        for var in self.read_ctrs.values():
+            head.emit(f"{var} = 0")
+        for var in self.write_ctrs.values():
+            head.emit(f"{var} = 0")
+        for rank in self.isect_ranks:
+            head.emit(f"iv_{rank} = 0")
+            head.emit(f"im_{rank} = 0")
+        for op in ("mul", "add", "copy"):
+            head.emit(f"cn_{op} = 0")
+            head.emit(f"cs_{op} = set()")
+            head.emit(f"cl_{op} = set()")
+        for rank in sorted(self.stamp_ranks):
+            head.emit(f"st_{rank} = 0")
         if self.existential:
             head.emit("wr_0 = False")
 
         tail = _Emitter()
         tail.indent = 1
-        if self.counted:
-            for (tensor, of, kind), var in self.read_ctrs.items():
-                tail.emit(
-                    f"kc.add_read({tensor!r}, {of!r}, {kind!r}, {var})"
-                )
-            for (tensor, of, kind), var in self.write_ctrs.items():
-                tail.emit(
-                    f"kc.add_write({tensor!r}, {of!r}, {kind!r}, {var})"
-                )
-            for rank in self.isect_ranks:
-                tail.emit(f"kc.add_isect({rank!r}, iv_{rank}, im_{rank})")
-            for op in ("mul", "add", "copy"):
-                tail.emit(f"kc.add_compute({op!r}, cn_{op}, cs_{op}, cl_{op})")
+        for (tensor, of, kind), var in self.read_ctrs.items():
+            tail.emit(f"kc.add_read({tensor!r}, {of!r}, {kind!r}, {var})")
+        for (tensor, of, kind), var in self.write_ctrs.items():
+            tail.emit(f"kc.add_write({tensor!r}, {of!r}, {kind!r}, {var})")
+        for rank in self.isect_ranks:
+            tail.emit(f"kc.add_isect({rank!r}, iv_{rank}, im_{rank})")
+        for op in ("mul", "add", "copy"):
+            tail.emit(f"kc.add_compute({op!r}, cn_{op}, cs_{op}, cl_{op})")
         tail.emit(
             "return Tensor("
             f"{ir.output.tensor!r}, {ir.output.storage_ranks!r}, out, "
@@ -526,17 +482,15 @@ class _FlatGenerator:
         for j, (i, lvl, L, d, a, b, off) in enumerate(specs):
             of = lvl.of or lvl.rank
             pos = f"p{i}_{d}"
-            if self.fused:
-                # The traced kernels extend the path unconditionally (the
-                # absent k-way branch included); only present cursors
-                # ever read it, so the value below absent cursors is
-                # irrelevant — but it must be defined.
-                em.emit(f"h{i}_{d + 1} = h{i}_{d} + (c_{rank},)")
+            # The path extends unconditionally (the absent k-way branch
+            # included); only present cursors ever read it, so the value
+            # below absent cursors is irrelevant — but it must be defined.
+            em.emit(f"h{i}_{d + 1} = h{i}_{d} + (c_{rank},)")
             if opened["kway"]:
                 em.emit(f"{pos} = ps_{rank}[{j}]")
                 em.emit(f"if {pos} >= 0:")
                 em.indent += 1
-            if self.fused and not opened["kway"] and self._deferrable(i):
+            if not opened["kway"] and self._deferrable(i):
                 # The opener deferred this driver's machine coord read
                 # to here; fire the coord+payload pair together.
                 self._emit_pair_read(i, of, key=f"h{i}_{d + 1}",
@@ -570,10 +524,9 @@ class _FlatGenerator:
             style = ir.time_styles.get(rank, "pos")
             src = f"c_{rank}" if style == "coord" else f"po_{rank}"
             em.emit(f"st_{rank} = {src}")
-        if self.fused:
-            # The loop-context prefix: what the traced kernel's live
-            # ``ctx`` list holds after ``ctx.append((rank, c))``.
-            em.emit(f"cx{level + 1} = cx{level} + (({rank!r}, c_{rank}),)")
+        # The loop-context prefix: what the interpreter's live ``ctx``
+        # list holds inside this loop.
+        em.emit(f"cx{level + 1} = cx{level} + (({rank!r}, c_{rank}),)")
         self._lookups(level, new_depths)
         self._rank(level + 1, new_depths, wins2, guarded)
         self._propagate_wrote(level, rank)
@@ -603,7 +556,7 @@ class _FlatGenerator:
         if off:
             coord = f"{coord} + {off}"
         em.emit(f"c_{rank} = {coord}")
-        if self.fused and self._deferrable(i):
+        if self._deferrable(i):
             self._emit_coord_counter(i, (lvl.of or lvl.rank))
         else:
             self._emit_read(i, (lvl.of or lvl.rank), "coord",
@@ -617,11 +570,10 @@ class _FlatGenerator:
         p0, p1 = f"p{i0}_{d0}", f"p{i1}_{d1}"
         em.emit(f"{p0} = {a0}")
         em.emit(f"{p1} = {a1}")
-        if self.counted:
-            em.emit(f"_iv_{rank} = 0")
-            em.emit(f"_im_{rank} = 0")
-            if rank not in self.isect_ranks:
-                self.isect_ranks.append(rank)
+        em.emit(f"_iv_{rank} = 0")
+        em.emit(f"_im_{rank} = 0")
+        if rank not in self.isect_ranks:
+            self.isect_ranks.append(rank)
         em.emit(f"while {p0} < {b0} and {p1} < {b1}:")
         em.indent += 1
         h0 = f"t{i0}_c{L0}[{p0}]" + (f" + {off0}" if off0 else "")
@@ -631,17 +583,16 @@ class _FlatGenerator:
         em.emit(f"if h0_{rank} == h1_{rank}:")
         em.indent += 1
         em.emit(f"c_{rank} = h0_{rank}")
-        if self.counted:
-            em.emit(f"_iv_{rank} += 2")
-            em.emit(f"_im_{rank} += 1")
-            for i_, lvl_, d_ in ((i0, lvl0, d0), (i1, lvl1, d1)):
-                of_ = lvl_.of or lvl_.rank
-                if self.fused and self._deferrable(i_):
-                    self._emit_coord_counter(i_, of_)
-                else:
-                    self._emit_read(i_, of_, "coord",
-                                    key=f"h{i_}_{d_} + (c_{rank},)",
-                                    cx=f"cx{level}")
+        em.emit(f"_iv_{rank} += 2")
+        em.emit(f"_im_{rank} += 1")
+        for i_, lvl_, d_ in ((i0, lvl0, d0), (i1, lvl1, d1)):
+            of_ = lvl_.of or lvl_.rank
+            if self._deferrable(i_):
+                self._emit_coord_counter(i_, of_)
+            else:
+                self._emit_read(i_, of_, "coord",
+                                key=f"h{i_}_{d_} + (c_{rank},)",
+                                cx=f"cx{level}")
         return {"kind": "merge2", "kway": False, "guard": 0}
 
     def _open_kway(self, rank: str, level: int, mode: str, specs) -> dict:
@@ -654,28 +605,25 @@ class _FlatGenerator:
         helper = "flat_union" if union else "flat_isect"
         size = k if union else k + 2
         em.emit(f"sx_{rank} = [0] * {size}")
-        touches = ""
-        if self.fused:
-            # Per-input touch callbacks: coord read events for inputs
-            # routed to a component machine fire from inside the helper,
-            # in the traced co-iterator's exact order.
-            names = []
-            for j, (i, lvl, L, d, a, b, off) in enumerate(specs):
-                of = lvl.of or lvl.rank
-                port = self._port(self.ir.accesses[i].tensor, of, "coord")
-                name = f"tk{j}_{rank}"
-                em.emit(
-                    f"{name} = None if {port}r is None else rt.make_touch("
-                    f"{port}r, {of!r}, h{i}_{d}, cx{level})"
-                )
-                names.append(name)
-            touches = f", ({', '.join(names)},)"
+        # Per-input touch callbacks: coord read events for inputs routed
+        # to a component machine fire from inside the helper, in the
+        # interpreter's exact co-iteration order.
+        names = []
+        for j, (i, lvl, L, d, a, b, off) in enumerate(specs):
+            of = lvl.of or lvl.rank
+            port = self._port(self.ir.accesses[i].tensor, of, "coord")
+            name = f"tk{j}_{rank}"
+            em.emit(
+                f"{name} = None if {port}r is None else rt.make_touch("
+                f"{port}r, {of!r}, h{i}_{d}, cx{level})"
+            )
+            names.append(name)
         em.emit(
             f"for c_{rank}, ps_{rank} in rt.{helper}(({', '.join(parts)},), "
-            f"sx_{rank}{touches}):"
+            f"sx_{rank}, ({', '.join(names)},)):"
         )
         em.indent += 1
-        if self.counted and not union and rank not in self.isect_ranks:
+        if not union and rank not in self.isect_ranks:
             self.isect_ranks.append(rank)
         return {"kind": "kway", "kway": True, "union": union, "guard": 0}
 
@@ -683,17 +631,13 @@ class _FlatGenerator:
                     d: int, off, p: str) -> None:
         """Tally the coordinates a merge2 skip jumped over.
 
-        Counted: one bulk counter bump.  Fused with a live port: the
-        machine needs per-element keys, so the galloped-over positions
-        replay one at a time (only for machine-routed inputs — DRAM
-        routes keep the O(1) bump).
+        DRAM routes take one bulk counter bump; a live port's machine
+        needs per-element keys, so the galloped-over positions replay
+        one at a time.
         """
         em = self.em
         of = lvl.of or lvl.rank
         amount = f"nx_{rank} - {p}"
-        if not self.fused:
-            self._bump_read(i, of, "coord", amount)
-            return
         tensor = self.ir.accesses[i].tensor
         port = self._port(tensor, of, "coord")
         em.emit(f"if {port}r is None:")
@@ -725,60 +669,51 @@ class _FlatGenerator:
             em.indent += 1
             t0 = f"h1_{rank} - {off0}" if off0 else f"h1_{rank}"
             em.emit(f"nx_{rank} = _bl(t{i0}_c{L0}, {t0}, {p0}, {b0})")
-            if self.counted:
-                em.emit(f"_iv_{rank} += nx_{rank} - {p0}")
-                self._skip_reads(rank, level, i0, lvl0, L0, d0, off0, p0)
+            em.emit(f"_iv_{rank} += nx_{rank} - {p0}")
+            self._skip_reads(rank, level, i0, lvl0, L0, d0, off0, p0)
             em.emit(f"{p0} = nx_{rank}")
             em.indent -= 1
             em.emit("else:")
             em.indent += 1
             t1 = f"h0_{rank} - {off1}" if off1 else f"h0_{rank}"
             em.emit(f"nx_{rank} = _bl(t{i1}_c{L1}, {t1}, {p1}, {b1})")
-            if self.counted:
-                em.emit(f"_iv_{rank} += nx_{rank} - {p1}")
-                self._skip_reads(rank, level, i1, lvl1, L1, d1, off1, p1)
+            em.emit(f"_iv_{rank} += nx_{rank} - {p1}")
+            self._skip_reads(rank, level, i1, lvl1, L1, d1, off1, p1)
             em.emit(f"{p1} = nx_{rank}")
             em.indent -= 1
             em.indent -= 1  # close the while body
-            if self.counted:
-                # Runs only on normal exit: an abandoned co-iteration
-                # drops its isect event, exactly like the traced stream.
-                em.emit("else:")
-                em.indent += 1
-                em.emit(f"iv_{rank} += _iv_{rank}")
-                em.emit(f"im_{rank} += _im_{rank}")
-                em.indent -= 1
+            # Runs only on normal exit: an abandoned co-iteration drops
+            # its isect event, exactly like the interpreter's stream.
+            em.emit("else:")
+            em.indent += 1
+            em.emit(f"iv_{rank} += _iv_{rank}")
+            em.emit(f"im_{rank} += _im_{rank}")
+            em.indent -= 1
         else:  # kway
             em.indent -= 1  # close the for body
-            if self.counted and not opened["union"]:
+            if not opened["union"]:
                 k = len(specs)
                 em.emit("else:")
                 em.indent += 1
                 em.emit(f"iv_{rank} += sx_{rank}[{k}]")
                 em.emit(f"im_{rank} += sx_{rank}[{k + 1}]")
                 em.indent -= 1
-            if self.counted:
-                # Visit tallies are eager in the helper, so they stay
-                # correct even when the loop breaks early.  Machine-routed
-                # inputs (fused) already fired their per-element touches
-                # inside the helper.
-                for j, (i, lvl, L, d, a, b, off) in enumerate(specs):
-                    of = lvl.of or lvl.rank
-                    tensor = self.ir.accesses[i].tensor
-                    if self.fused:
-                        port = self._port(tensor, of, "coord")
-                        em.emit(f"if {port}r is None:")
-                        em.indent += 1
-                        em.emit(
-                            f"{self._rctr(tensor, of, 'coord')} += "
-                            f"sx_{rank}[{j}]"
-                        )
-                        em.indent -= 1
-                    else:
-                        self._bump_read(i, of, "coord", f"sx_{rank}[{j}]")
+            # Visit tallies are eager in the helper, so they stay correct
+            # even when the loop breaks early.  Machine-routed inputs
+            # already fired their per-element touches inside the helper.
+            for j, (i, lvl, L, d, a, b, off) in enumerate(specs):
+                of = lvl.of or lvl.rank
+                tensor = self.ir.accesses[i].tensor
+                port = self._port(tensor, of, "coord")
+                em.emit(f"if {port}r is None:")
+                em.indent += 1
+                em.emit(
+                    f"{self._rctr(tensor, of, 'coord')} += sx_{rank}[{j}]"
+                )
+                em.indent -= 1
 
     # ------------------------------------------------------------------
-    # Vector leaves (the "vector" flavor): price an entire innermost-rank
+    # Vector leaves: price an entire innermost-rank
     # span with batched numpy ops.  Eligibility is decided statically per
     # loop; the generated branch still guards on runtime facts (numpy
     # buffers present, elementwise opset, span large enough) and falls
@@ -882,7 +817,7 @@ class _FlatGenerator:
         short-circuits, no per-element lookups, and no tensor whose
         component machine would see interleaved per-element event orders
         (self-intersections, read-modify-write outputs)."""
-        if not self.vector or level != self.n_ranks - 1:
+        if level != self.n_ranks - 1:
             return None
         ir = self.ir
         if self.existential or virtual or len(binds) > 1:
@@ -1006,12 +941,13 @@ class _FlatGenerator:
                            merge: bool, d0: dict) -> None:
         """One driver's coord+payload event accounting for a whole span.
 
-        Per machine, the traced order within the span is: one coord read
-        per *visited* coordinate ascending (matched and galloped-over
-        alike), plus one payload read per *matched* coordinate — so a
-        machine owning both ports batches as ``read_span`` over the
-        visited prefix plus a :meth:`~repro.ir.codegen_runtime.FusedBuffet.pair_extra`
-        bump for the matched subset, and split ports batch each side
+        Per machine, the interpreter's event order within the span is:
+        one coord read per *visited* coordinate ascending (matched and
+        galloped-over alike), plus one payload read per *matched*
+        coordinate — so a machine owning both ports batches as
+        ``read_span`` over the visited prefix plus a
+        :meth:`~repro.ir.codegen_runtime.FusedBuffet.pair_extra` bump for
+        the matched subset, and split ports batch each side
         independently.  DRAM-routed sides are pure counter adds.
         """
         em = self.em
@@ -1187,8 +1123,7 @@ class _FlatGenerator:
             em.emit(f"wr_{level + 1} = False")
         if rank in self.stamp_ranks:
             em.emit(f"st_{rank} = v_{var}")
-        if self.fused:
-            em.emit(f"cx{level + 1} = cx{level} + (({rank!r}, v_{var}),)")
+        em.emit(f"cx{level + 1} = cx{level} + (({rank!r}, v_{var}),)")
         self._lookups(level, depths)
         self._rank(level + 1, depths, wins, guarded)
         self._propagate_wrote(level, rank)
@@ -1198,8 +1133,8 @@ class _FlatGenerator:
     def _lookups(self, level: int, depths: Dict[int, int]) -> None:
         """Advance cursors through levels fully bound after this rank.
 
-        The break conditions are copied verbatim from the object
-        generator so both kernels advance at exactly the same points.
+        The break conditions mirror the interpreter's, so cursors
+        advance at exactly the same points.
         """
         ir, em = self.ir, self.em
         bound_vars = set()
@@ -1240,10 +1175,7 @@ class _FlatGenerator:
                     em.indent -= 1
                     em.emit("else:")
                     em.indent += 1
-                    if self.fused:
-                        em.emit(
-                            f"h{i}_{d + 1} = h{i}_{d} + (t{i}_c{L}[{pos}],)"
-                        )
+                    em.emit(f"h{i}_{d + 1} = h{i}_{d} + (t{i}_c{L}[{pos}],)")
                     self._emit_read(i, of, "coord", key=f"h{i}_{d + 1}",
                                     cx=f"cx{level + 1}")
                     self._descend(i, d, pos)
@@ -1262,40 +1194,29 @@ class _FlatGenerator:
                 em.indent -= 1
                 em.emit("else:")
                 em.indent += 1
-                if self.fused:
-                    # Lookups are straight-line: the machine coord read
-                    # can always defer past span_find, pairing with the
-                    # payload read on hits (counter half bumps now —
-                    # counters are order-insensitive).
-                    em.emit(
-                        f"h{i}_{d + 1} = h{i}_{d} + ({_coord_code(lvl)},)"
-                    )
-                    self._emit_coord_counter(i, of)
-                else:
-                    self._emit_read(i, of, "coord", key=f"h{i}_{d + 1}",
-                                    cx=f"cx{level + 1}")
+                # Lookups are straight-line: the machine coord read can
+                # always defer past span_find, pairing with the payload
+                # read on hits (the counter half bumps now — counters are
+                # order-insensitive).
+                em.emit(f"h{i}_{d + 1} = h{i}_{d} + ({_coord_code(lvl)},)")
+                self._emit_coord_counter(i, of)
                 em.emit(
                     f"{pos} = rt.span_find(t{i}_c{L}, n{i}_{d}a, "
                     f"n{i}_{d}b, {_coord_code(lvl)})"
                 )
                 em.emit(f"if {pos} < 0:")
                 em.indent += 1
-                if self.fused:
-                    pc = self._port(self.ir.accesses[i].tensor, of, "coord")
-                    em.emit(f"if {pc}r is not None:")
-                    em.indent += 1
-                    em.emit(f"{pc}r({of!r}, h{i}_{d + 1}, cx{level + 1})")
-                    em.indent -= 1
+                pc = self._port(self.ir.accesses[i].tensor, of, "coord")
+                em.emit(f"if {pc}r is not None:")
+                em.indent += 1
+                em.emit(f"{pc}r({of!r}, h{i}_{d + 1}, cx{level + 1})")
+                em.indent -= 1
                 self._absent(i, d + 1)
                 em.indent -= 1
                 em.emit("else:")
                 em.indent += 1
-                if self.fused:
-                    self._emit_pair_read(i, of, key=f"h{i}_{d + 1}",
-                                         cx=f"cx{level + 1}")
-                else:
-                    self._emit_read(i, of, "payload", key=f"h{i}_{d + 1}",
-                                    cx=f"cx{level + 1}")
+                self._emit_pair_read(i, of, key=f"h{i}_{d + 1}",
+                                     cx=f"cx{level + 1}")
                 self._descend(i, d, pos)
                 em.indent -= 2
                 d += 1
@@ -1310,12 +1231,6 @@ class _FlatGenerator:
         if self._is_scalar(i, d):
             return f"n{i}_{d}"
         return "None"
-
-    def _leaf(self, depths: Dict[int, int]) -> None:
-        if self.counted:
-            self._leaf_counted(depths)
-        else:
-            self._leaf_flat(depths)
 
     def _emit_reduce(self, target: str, value: str) -> None:
         """Reduce ``value`` into the output at the current point.
@@ -1340,45 +1255,7 @@ class _FlatGenerator:
             f"{overwrite})"
         )
 
-    def _leaf_flat(self, depths: Dict[int, int]) -> None:
-        ir, em = self.ir, self.em
-        counter = [0]
-        value = self._fast_expr(ir.einsum.expr, depths, counter)
-        em.emit(f"value = {value}")
-        em.emit("if value is not None:")
-        em.indent += 1
-        self._emit_reduce("", "value")
-        if self.existential:
-            em.emit(f"wr_{self.n_ranks} = True")
-        em.indent -= 1
-
-    def _fast_expr(self, expr: Expr, depths, counter) -> str:
-        if isinstance(expr, Access):
-            i = counter[0]
-            counter[0] += 1
-            return self._scalar_ref(i, depths[i])
-        if isinstance(expr, Mul):
-            parts = [self._fast_expr(f, depths, counter)
-                     for f in expr.factors]
-            inner = parts[0]
-            for p in parts[1:]:
-                inner = f"_mul(opset, {inner}, {p})"
-            return inner
-        if isinstance(expr, Add):
-            left = self._fast_expr(expr.left, depths, counter)
-            right = self._fast_expr(expr.right, depths, counter)
-            op = "_sub" if expr.negate else "_add"
-            return f"{op}(opset, {left}, {right})"
-        if isinstance(expr, Take):
-            args = []
-            for _ in expr.args:
-                i = counter[0]
-                counter[0] += 1
-                args.append(self._scalar_ref(i, depths[i]))
-            return f"_take([{', '.join(args)}], {expr.which})"
-        raise CodegenError(f"cannot generate flat code for {expr!r}")
-
-    def _leaf_counted(self, depths: Dict[int, int]) -> None:
+    def _leaf(self, depths: Dict[int, int]) -> None:
         ir, em = self.ir, self.em
         em.emit("mu = 0")
         em.emit("ad = 0")
@@ -1413,18 +1290,15 @@ class _FlatGenerator:
         out_rank = (ir.output.storage_ranks[-1]
                     if ir.output.storage_ranks else "root")
         wctr = self._wctr(ir.output.tensor, out_rank, "elem")
-        if self.fused:
-            port = self._port(ir.output.tensor, out_rank, "elem")
-            em.emit(f"if {port}w is None:")
-            em.indent += 1
-            em.emit(f"{wctr} += 1")
-            em.indent -= 1
-            em.emit("else:")
-            em.indent += 1
-            em.emit(f"{port}w({out_rank!r}, {point}, cx{self.n_ranks})")
-            em.indent -= 1
-        else:
-            em.emit(f"{wctr} += 1")
+        port = self._port(ir.output.tensor, out_rank, "elem")
+        em.emit(f"if {port}w is None:")
+        em.indent += 1
+        em.emit(f"{wctr} += 1")
+        em.indent -= 1
+        em.emit("else:")
+        em.indent += 1
+        em.emit(f"{port}w({out_rank!r}, {point}, cx{self.n_ranks})")
+        em.indent -= 1
         if self.existential:
             em.emit(f"wr_{self.n_ranks} = True")
         em.indent -= 1
@@ -1434,8 +1308,10 @@ class _FlatGenerator:
         return f"t{self._tmp_count}"
 
     def _counted_expr(self, expr: Expr, depths, counter) -> str:
-        """Counted analog of the traced expression emitter: exact op
-        counts, scalars read straight from the arena cursors."""
+        """Statements computing the leaf value with the interpreter's
+        exact op counts (sub-expressions always evaluate, a combining
+        operation counts only when it executes), scalars read straight
+        from the arena cursors."""
         em = self.em
         if isinstance(expr, Access):
             i = counter[0]
@@ -1502,16 +1378,6 @@ class _FlatGenerator:
         raise CodegenError(f"cannot generate flat code for {expr!r}")
 
 
-def generate_flat_source(ir: LoopNestIR, func_name: str = "kernel",
-                         counted: bool = False, fused: bool = False,
-                         vector: bool = False) -> str:
-    """Generate arena-native Python source for one lowered Einsum.
-
-    ``counted`` adds fused counters; ``fused`` additionally inlines the
-    buffet/cache component state machines (implies counters); ``vector``
-    additionally batches eligible innermost-rank spans through numpy
-    primitives (implies fused — with a null routing plan the machines
-    degrade to counters, so one vector kernel serves both sink-less and
-    buffered specs).
-    """
-    return _FlatGenerator(ir, func_name, counted, fused, vector).generate()
+def generate_flat_source(ir: LoopNestIR, func_name: str = "kernel") -> str:
+    """Generate the arena-native vector kernel source for one Einsum."""
+    return _FlatGenerator(ir, func_name).generate()

@@ -1,18 +1,15 @@
 """Runtime helpers imported by TeAAL-generated loop-nest code.
 
-The code generator (:mod:`repro.ir.codegen`) emits plain Python whose only
-dependencies are the fibertree API and these helpers: k-way intersection
-and union co-iterators, chunk lookup for split (upper) levels, affine
-projection and occupancy-follower windows, and reduction into the output
-fibertree.
+The code generator (:mod:`repro.ir.codegen_flat`) emits plain Python
+whose only dependencies are the fibertree API and these helpers: span
+search, chunk lookup, affine projection and occupancy-follower windows
+over arena coordinate buffers, k-way intersection and union
+co-iterators, the batched numpy primitives of the vector leaves, the
+buffet/cache state machines, and reduction into the output fibertree.
 
-Every co-iterator and lookup has an optional *trace* argument.  When a
-generated kernel runs in traced mode it passes the live
-:class:`~repro.model.traces.TraceSink` (plus the cursor paths and loop
-context) through these arguments, and the helpers emit exactly the same
-event stream — same events, same order — as the interpreting executor.
-The differential test suite (``tests/ir/test_codegen_differential.py``)
-enforces that equivalence.
+Every helper reproduces the interpreter's membership decisions and
+event counts exactly; the differential test suite
+(``tests/ir/test_codegen_differential.py``) enforces that equivalence.
 """
 
 from __future__ import annotations
@@ -26,214 +23,13 @@ import numpy as np
 from ..fibertree.fiber import Fiber
 
 
-def _live(fibers) -> List[Tuple[int, Fiber]]:
-    """Indices and values of the inputs that are actual fibers.
-
-    Mirrors the interpreter's participant selection: a cursor that is
-    ``None`` (empty) or a scalar simply does not participate at this rank
-    (conjunctive-empty subtrees are pruned by the generated code *before*
-    the co-iteration call, so by this point absence only means "skip").
-    """
-    return [(j, f) for j, f in enumerate(fibers) if isinstance(f, Fiber)]
-
-
-def _payload_row(n: int, live_items) -> List[Any]:
-    row: List[Any] = [None] * n
-    for j, p in live_items:
-        row[j] = p
-    return row
-
-
-def coiterate_intersect(*fibers, trace=None) -> Iterator[Tuple[Any, List[Any]]]:
-    """Yield (coord, [payload-or-None...]) present in every live fiber.
-
-    Payloads are aligned with the inputs; positions whose input was not a
-    fiber receive ``None``.  With a single live input this degrades to
-    plain iteration (matching the interpreter, which prices no
-    intersection there).  ``trace`` is ``(sink, rank, infos, ctx)`` with
-    ``infos[j] = (tensor, of, path)`` aligned to the inputs.
-    """
-    n = len(fibers)
-    live = _live(fibers)
-    if not live:
-        return
-    if len(live) == 1:
-        j, fiber = live[0]
-        if trace is not None:
-            sink, _rank, infos, ctx = trace
-            tensor, of, path = infos[j]
-            for c, p in fiber:
-                sink.read(tensor, of, "coord", path + (c,), ctx)
-                yield c, _payload_row(n, [(j, p)])
-        else:
-            for c, p in fiber:
-                yield c, _payload_row(n, [(j, p)])
-        return
-
-    idx = [j for j, _ in live]
-    fs = [f for _, f in live]
-    positions = [0] * len(fs)
-    lengths = [len(f) for f in fs]
-    visited = 0
-    matched = 0
-    sink = None
-    if trace is not None:
-        sink, rank, infos, ctx = trace
-    while all(p < m for p, m in zip(positions, lengths)):
-        heads = [f.coords[p] for f, p in zip(fs, positions)]
-        top = max(heads)
-        if all(h == top for h in heads):
-            matched += 1
-            visited += len(fs)
-            if sink is not None:
-                for j in idx:
-                    tensor, of, path = infos[j]
-                    sink.read(tensor, of, "coord", path + (top,), ctx)
-            yield top, _payload_row(
-                n, [(j, f.payloads[p]) for j, f, p in zip(idx, fs, positions)]
-            )
-            positions = [p + 1 for p in positions]
-        else:
-            for k in range(len(fs)):
-                f, p = fs[k], positions[k]
-                if f.coords[p] < top:
-                    nxt = bisect.bisect_left(f.coords, top, p)
-                    visited += nxt - p
-                    if sink is not None:
-                        tensor, of, path = infos[idx[k]]
-                        for q in range(p, nxt):
-                            sink.read(tensor, of, "coord",
-                                      path + (f.coords[q],), ctx)
-                    positions[k] = nxt
-    if sink is not None:
-        sink.isect(rank, visited, matched)
-
-
-def coiterate_union(*fibers, trace=None) -> Iterator[Tuple[Any, List[Any]]]:
-    """Yield (coord, [payload-or-None...]) present in any live fiber."""
-    n = len(fibers)
-    live = _live(fibers)
-    if not live:
-        return
-    coords = sorted(set().union(*(set(f.coords) for _, f in live)))
-    sink = None
-    if trace is not None:
-        sink, _rank, infos, ctx = trace
-    for c in coords:
-        row: List[Any] = [None] * n
-        for j, f in live:
-            if sink is not None:
-                tensor, of, path = infos[j]
-                sink.read(tensor, of, "coord", path + (c,), ctx)
-            row[j] = f.get_payload(c)
-        yield c, row
-
-
-def iterate(fiber: Optional[Fiber], trace=None) -> Iterator[Tuple[Any, List[Any]]]:
-    """Single-fiber iteration in the co-iterator calling convention.
-
-    ``trace`` is ``(sink, tensor, of, path, ctx)``.
-    """
-    if not isinstance(fiber, Fiber):
-        return
-    if trace is not None:
-        sink, tensor, of, path, ctx = trace
-        for c, p in fiber:
-            sink.read(tensor, of, "coord", path + (c,), ctx)
-            yield c, [p]
-    else:
-        for c, p in fiber:
-            yield c, [p]
-
-
-def lookup(node: Any, coord: Any) -> Any:
-    """Payload lookup; None when the node is absent or not a fiber."""
-    if not isinstance(node, Fiber):
-        return None
-    return node.get_payload(coord)
-
-
-def lookup_t(node: Any, coord: Any, path: tuple, sink, tensor: str,
-             of: str, ctx) -> Tuple[Any, tuple]:
-    """Traced payload lookup: returns (payload, extended path)."""
-    if not isinstance(node, Fiber):
-        return None, path
-    key = path + (coord,)
-    sink.read(tensor, of, "coord", key, ctx)
-    payload = node.get_payload(coord)
-    if payload is not None:
-        sink.read(tensor, of, "payload", key, ctx)
-    return payload, key
-
-
-def lookup_chunk(node: Any, coord: Any) -> Any:
-    """Find the split-level chunk containing an original coordinate."""
-    if not isinstance(node, Fiber) or not node.coords:
-        return None
-    pos = bisect.bisect_right(node.coords, coord) - 1
-    if pos < 0:
-        return None
-    return node.payloads[pos]
-
-
-def lookup_chunk_t(node: Any, coord: Any, path: tuple, sink, tensor: str,
-                   of: str, ctx) -> Tuple[Any, tuple]:
-    """Traced chunk lookup: returns (chunk, path extended by chunk coord)."""
-    if not isinstance(node, Fiber) or not node.coords:
-        return None, path
-    pos = bisect.bisect_right(node.coords, coord) - 1
-    if pos < 0:
-        return None, path
-    key = path + (node.coords[pos],)
-    sink.read(tensor, of, "coord", key, ctx)
-    return node.payloads[pos], key
-
-
-def project(node: Any, offset: int, shape: int) -> Optional[Fiber]:
-    """Affine projection: shift coordinates by ``offset`` into [0, shape)."""
-    if not isinstance(node, Fiber):
-        return None
-    return node.project(offset, lo=0, hi=shape)
-
-
-def window_of(payload: Any, outer) -> Optional[tuple]:
-    """Partition window carried by a chunk payload (leader side).
-
-    A chunk descended from a split-upper level records the half-open
-    coordinate interval it covers; occupancy followers slice their own
-    (unsplit) fibers to that window.  A non-fiber payload keeps whatever
-    window the enclosing scope established.
-    """
-    if isinstance(payload, Fiber):
-        return payload.coord_range
-    return outer
-
-
-def window(node: Any, rng: Optional[tuple]) -> Any:
-    """Restrict a follower fiber to the leader's partition window."""
-    if not isinstance(node, Fiber) or rng is None or not node.coords:
-        return node
-    lo, hi = rng
-    if hi is None:
-        hi = node.coords[-1] + 1
-    return node.slice(lo, hi)
-
-
-def scalar(node: Any) -> Optional[float]:
-    """Leaf value of a cursor; None when absent or still a fiber."""
-    if node is None or isinstance(node, Fiber):
-        return None
-    return node
-
-
 # ----------------------------------------------------------------------
-# Flat-span helpers (used by the arena-native kernels of codegen_flat)
+# Span helpers
 # ----------------------------------------------------------------------
-# A flat cursor is a half-open position span [lo, hi) into one level's
+# A cursor is a half-open position span [lo, hi) into one level's
 # coordinate buffer of a FlatArena; ``lo is None`` marks an absent cursor.
-# These helpers mirror the Fiber-based helpers above exactly — same
-# membership, same visit counting — so the flat kernels stay differentially
-# equal to the interpreter.
+# These helpers reproduce the interpreter's membership and visit counting
+# exactly, so the kernels stay differentially equal to it.
 
 def span_find(coords, lo: Optional[int], hi: int, coord) -> int:
     """Position of ``coord`` in the span, or -1 when absent."""
@@ -276,19 +72,19 @@ def flat_isect(specs, stats, touches=None) -> Iterator[Tuple[Any, List[int]]]:
     """K-way intersection over flat spans; yields (coord, positions).
 
     ``specs[j] = (coords, lo, hi, off)``; ``lo is None`` means input ``j``
-    does not participate (mirroring :func:`coiterate_intersect`'s liveness
-    rule).  The positions row holds -1 for non-participants.  ``stats`` is
-    a list of ``len(specs) + 2`` counters updated *eagerly* (so an
+    does not participate (mirroring the interpreter's liveness rule).
+    The positions row holds -1 for non-participants.  ``stats`` is a
+    list of ``len(specs) + 2`` counters updated *eagerly* (so an
     abandoned generator leaves partial-but-accurate tallies, exactly like
     the traced event stream): per-input coordinates visited, then total
     visited, then total matched — the totals are only written on matches
     and skips, never on completion, so they line up with the traced
     ``isect`` accounting.
 
-    ``touches`` (fused kernels) is a per-input tuple of callables or
-    ``None``: ``touches[j](c)`` fires once per coordinate input ``j``
-    visits, in exactly the order the traced co-iterator emits its coord
-    read events, so buffer/cache state machines see the same stream.
+    ``touches`` is a per-input tuple of callables or ``None``:
+    ``touches[j](c)`` fires once per coordinate input ``j`` visits, in
+    exactly the order the interpreter emits its coord read events, so
+    buffer/cache state machines see the same stream.
     """
     n = len(specs)
     live = [j for j in range(n) if specs[j][1] is not None]
@@ -350,10 +146,10 @@ def flat_union(specs, stats, touches=None) -> Iterator[Tuple[Any, List[int]]]:
     """K-way merge union over flat spans; yields (coord, positions).
 
     Every participating input counts one visited coordinate per union
-    coordinate (present or not), matching :func:`coiterate_union`'s traced
-    read stream.  ``stats[j]`` tallies input ``j``'s visits eagerly.
-    ``touches[j]`` (fused kernels) fires per visited coordinate, in the
-    traced event order.
+    coordinate (present or not), matching the interpreter's union read
+    stream.  ``stats[j]`` tallies input ``j``'s visits eagerly.
+    ``touches[j]`` fires per visited coordinate, in the traced event
+    order.
     """
     n = len(specs)
     live = [j for j in range(n) if specs[j][1] is not None]
@@ -391,12 +187,12 @@ def flat_union(specs, stats, touches=None) -> Iterator[Tuple[Any, List[int]]]:
 
 
 # ----------------------------------------------------------------------
-# Vector-span primitives (used by the "vector" kernel flavor)
+# Vector-span primitives
 # ----------------------------------------------------------------------
 # The vector kernels price an entire innermost-rank span with batched
 # numpy ops instead of one Python iteration per element.  Exactness is
 # the contract: every helper here reproduces, bit for bit, what the
-# scalar counted/fused loop over the same span would have produced —
+# kernel's scalar loop over the same span would have produced —
 # including float accumulation order (``np.add.accumulate`` is a
 # sequential left fold, unlike ``np.sum``'s pairwise reduction) and the
 # galloping co-iterator's partial visit counts.
@@ -504,7 +300,7 @@ def vreduce(existing, values) -> float:
 
 
 # ----------------------------------------------------------------------
-# Fused component state machines (used by the "fused" kernel flavor)
+# Fused component state machines
 # ----------------------------------------------------------------------
 # These inline the buffet/cache models of repro.model.components into the
 # generated arena loops: instead of routing one TraceSink event per touched
@@ -586,8 +382,8 @@ class FusedBuffet:
         """Two consecutive reads of one key in one call.
 
         State- and tally-identical to ``read(); read()`` — a miss fills
-        on the first read and hits on the second — fired by the fused
-        kernels for the coord+payload event pair every present element
+        on the first read and hits on the second — fired by the kernels
+        for the coord+payload event pair every present element
         emits back to back.
         """
         if cx is not self._cx:
@@ -847,7 +643,7 @@ class FusedCache:
 
 
 def make_touch(read, of: str, base: tuple, cx: tuple):
-    """Per-coordinate touch callback for the fused k-way co-iterators.
+    """Per-coordinate touch callback for the k-way co-iterators.
 
     ``read`` is a bound ``FusedBuffet.read`` / ``FusedCache.read``.
     """
@@ -856,30 +652,12 @@ def make_touch(read, of: str, base: tuple, cx: tuple):
     return touch
 
 
-def reduce_into(root: Fiber, point: tuple, value: Any, opset,
-                overwrite: bool) -> int:
-    """Insert ``value`` at ``point``, reducing with ``opset.add`` on
-    collision (or overwriting, for take() Einsums).  Returns the number
-    of reduction adds performed (0 or 1) so traced kernels can count
-    them exactly like the interpreter."""
-    node = root
-    for coord in point[:-1]:
-        node = node.get_payload_ref(coord, make=Fiber)
-    leaf = point[-1] if point else 0
-    existing = node.get_payload(leaf)
-    if existing is None or overwrite:
-        node.set_payload(leaf, value)
-        return 0
-    node.set_payload(leaf, opset.add(existing, value))
-    return 1
-
-
 def out_ref(root: Fiber, prefix: tuple) -> Fiber:
     """The output subtree fiber at ``prefix``, created on demand.
 
-    The flat kernels memoize this across consecutive leaves (the output
+    The kernels memoize this across consecutive leaves (the output
     point's prefix usually only changes when an outer loop advances), so
-    reductions skip the per-leaf descent :func:`reduce_into` pays.
+    reductions skip the root-to-leaf descent.
     """
     node = root
     for coord in prefix:
@@ -889,7 +667,10 @@ def out_ref(root: Fiber, prefix: tuple) -> Fiber:
 
 def reduce_leaf(node: Fiber, leaf, value: Any, opset,
                 overwrite: bool) -> int:
-    """The leaf half of :func:`reduce_into` against a memoized subtree."""
+    """Insert ``value`` at ``leaf`` of a memoized output subtree,
+    reducing with ``opset.add`` on collision (or overwriting, for take()
+    Einsums).  Returns the number of reduction adds performed (0 or 1)
+    so the kernels count them exactly like the interpreter."""
     existing = node.get_payload(leaf)
     if existing is None or overwrite:
         node.set_payload(leaf, value)

@@ -7,15 +7,16 @@ module provides:
 * :func:`spec_cache_key` — a canonical, dict-order-insensitive key for the
   parts of a spec that determine lowering (einsum + mapping + params);
 * :class:`CompileCache` — a process-wide memo from canonical spec keys to
-  lowered IR plus compiled kernel objects (fast and traced flavors), so
-  repeated evaluations — sweeps, batched workloads, figure benchmarks —
-  lower and compile exactly once;
+  lowered IR plus compiled vector kernels, so repeated evaluations —
+  sweeps, batched workloads, figure benchmarks — lower and compile
+  exactly once;
 * :class:`InterpreterBackend` / :class:`CompiledBackend` — interchangeable
-  engines behind :func:`repro.model.evaluate.evaluate`.  The compiled
-  backend replays the interpreter's exact trace-event stream through
-  generated kernels; with ``fallback=True`` (the default engine) any
-  mapping the generator cannot express transparently falls back to the
-  interpreter.
+  engines behind :func:`repro.model.evaluate.evaluate`.  The interpreter
+  is the reference and the only source of the per-event trace stream;
+  the compiled backend runs the generated vector kernels, which tally
+  the aggregates of that stream instead.  With ``fallback=True`` (the
+  default engine) any mapping the generator cannot express transparently
+  falls back to the interpreter.
 
 Select an engine with ``evaluate(..., backend="compiled")`` (or
 ``"interpreter"`` / ``"auto"`` / a :class:`Backend` instance), and batch
@@ -110,85 +111,13 @@ def spec_fingerprint(spec: AcceleratorSpec) -> str:
 # Compile cache
 # ----------------------------------------------------------------------
 class CompiledEinsum:
-    """Lowered IR plus compiled kernels for one Einsum of a cascade.
-
-    Four flavors share the lowered IR: the object-cursor ``fast`` and
-    ``traced`` kernels (walking boxed fibers), and the arena-native
-    ``flat`` and ``counted`` kernels (walking
-    :class:`~repro.fibertree.arena.FlatArena` spans).  ``fast`` compiles
-    eagerly — its success defines "this spec compiles" — the rest on
-    first use.
-    """
+    """Lowered IR plus the compiled vector kernel for one Einsum of a
+    cascade (see :mod:`repro.ir.codegen_flat`).  The kernel compiles
+    eagerly: its success defines "this spec compiles"."""
 
     def __init__(self, ir: LoopNestIR):
         self.ir = ir
-        self.fast, self.fast_source = compile_ir(ir, flavor="fast")
-        self._kernels: Dict[str, tuple] = {"fast": (self.fast,
-                                                    self.fast_source)}
-        self._errors: Dict[str, CodegenError] = {}
-        self._lock = threading.Lock()
-
-    def _get(self, flavor: str) -> Callable:
-        entry = self._kernels.get(flavor)
-        if entry is not None:
-            return entry[0]
-        err = self._errors.get(flavor)
-        if err is not None:
-            raise err
-        with self._lock:
-            entry = self._kernels.get(flavor)
-            if entry is not None:
-                return entry[0]
-            err = self._errors.get(flavor)
-            if err is not None:
-                raise err
-            try:
-                fn, src = compile_ir(self.ir, flavor=flavor)
-            except CodegenError as exc:
-                self._errors[flavor] = exc
-                raise
-            self._kernels[flavor] = (fn, src)
-            return fn
-
-    def source_for(self, flavor: str) -> str:
-        self._get(flavor)
-        return self._kernels[flavor][1]
-
-    @property
-    def traced(self) -> Callable:
-        """The traced object-cursor kernel, compiled on first use."""
-        return self._get("traced")
-
-    @property
-    def counted(self) -> Callable:
-        """The counter-fused arena kernel (raises CodegenError if
-        the flat generator cannot express this Einsum)."""
-        return self._get("counted")
-
-    @property
-    def fused(self) -> Callable:
-        """The model-fused arena kernel: counters plus inlined
-        buffet/cache state machines (raises CodegenError if the flat
-        generator cannot express this Einsum).  Binding-independent:
-        the machine routing arrives at call time via the ``fm``
-        argument, so one compiled kernel serves every binding."""
-        return self._get("fused")
-
-    @property
-    def vector(self) -> Callable:
-        """The vector arena kernel: the fused kernel with eligible
-        innermost-rank spans priced through batched numpy primitives
-        (same signature, same binding independence; per-span runtime
-        guards fall back to the inline scalar loop, so results never
-        depend on which path ran)."""
-        return self._get("vector")
-
-    def flat_or_none(self) -> Optional[Callable]:
-        """The arena-native fast kernel, or None when unsupported."""
-        try:
-            return self._get("flat")
-        except CodegenError:
-            return None
+        self.vector, self.source = compile_ir(ir)
 
 
 class CompiledCascade:
@@ -338,8 +267,8 @@ class InterpreterBackend(Backend):
 
 
 class _NullRoutingPlan:
-    """Routing plan that sends every touch to DRAM: a fused kernel run
-    with it behaves exactly like the counted flavor."""
+    """Routing plan that sends every touch to DRAM: a vector kernel run
+    with it is a pure counter kernel."""
 
     @staticmethod
     def port(tensor: str, rank: str, kind: str):
@@ -353,7 +282,7 @@ class PrepCache:
     """Memoizes tensor preparation and arena conversion across
     evaluations that share input tensor objects.
 
-    A mapping sweep (:func:`repro.explore.explore`) evaluates many
+    A mapping sweep (:func:`repro.search.search`) evaluates many
     candidate specs over the *same* input tensors; without a shared
     cache every candidate re-swizzles, re-partitions, and re-flattens
     each input from scratch.  One ``PrepCache`` per sweep memoizes both
@@ -453,50 +382,72 @@ def _arenas_of(prepared: Dict[str, Tensor],
 
 
 class CompiledBackend(Backend):
-    """Runs generated-Python kernels out of a compile cache.
+    """Runs the generated vector kernels out of a compile cache.
 
-    Functionally and trace-exactly equivalent to the interpreter (the
-    differential suite enforces both).  With ``fallback=True`` a mapping
-    the code generator cannot express silently uses the interpreter for
-    that spec instead of raising :class:`CodegenError`.
-
-    Untraced runs (``sink=None``) execute the arena-native *flat*
-    kernels: inputs are converted to
-    :class:`~repro.fibertree.arena.FlatArena` structure-of-arrays
-    buffers and the generated loops stream over raw index spans.  Pass
-    ``kernel_flavor="object"`` to force the boxed-fiber fast kernels
-    instead (the pre-flat behavior, kept for benchmarking).  Any Einsum
-    the flat generator cannot express silently drops back to its object
-    fast kernel, so outputs never depend on the flavor.
+    Untraced runs (``sink=None``) convert inputs to
+    :class:`~repro.fibertree.arena.FlatArena` buffers and run each
+    Einsum's vector kernel under a null routing plan, so outputs come
+    from the arena loops and the tallies are simply dropped.  Traced runs
+    need the per-event stream only the interpreter produces, so they run
+    the interpreter; :meth:`run_cascade_fused` is how the compiled path
+    prices (see :func:`repro.model.evaluate.evaluate`).  With
+    ``fallback=True`` a mapping the code generator cannot express uses
+    the interpreter for that spec instead of raising
+    :class:`CodegenError`.
     """
 
     name = "compiled"
 
     def __init__(self, cache: Optional[CompileCache] = None,
-                 fallback: bool = False, kernel_flavor: str = "flat"):
-        if kernel_flavor not in ("flat", "object"):
-            raise ValueError(
-                f"kernel_flavor must be 'flat' or 'object', "
-                f"got {kernel_flavor!r}"
-            )
+                 fallback: bool = False):
         self.cache = cache if cache is not None else GLOBAL_COMPILE_CACHE
         self.fallback = fallback
-        self.kernel_flavor = kernel_flavor
         self._interpreter = InterpreterBackend()
 
     def compile(self, spec: AcceleratorSpec) -> CompiledCascade:
         """Warm the cache for a spec (raises CodegenError if unsupported)."""
         return self.cache.get(spec)
 
-    def _walk_cascade(self, spec, compiled, tensors, opset, opsets, sink,
-                      shapes, env, run_unit, after=None, prep_cache=None):
-        """The per-Einsum cascade walk every kernel path shares.
+    def run_cascade(self, spec, tensors, opset=ARITHMETIC, opsets=None,
+                    sink=None, shapes=None, env=None, prep_cache=None):
+        if sink is None:
+            try:
+                return self.run_cascade_fused(
+                    spec, tensors, opset=opset, opsets=opsets, shapes=shapes,
+                    env=env, prep_cache=prep_cache,
+                )
+            except CodegenError:
+                if not self.fallback:
+                    raise
+        elif not self.fallback:
+            self.cache.get(spec)  # an inexpressible spec still raises
+        return self._interpreter.run_cascade(
+            spec, tensors, opset=opset, opsets=opsets, sink=sink,
+            shapes=shapes, env=env,
+        )
 
-        ``run_unit(unit, prepared, ops, shapes)`` executes one Einsum's
-        kernel and returns ``(out, extra)``; ``after(name, extra)``
-        fires between the producer-swizzle event and ``einsum_end``
-        (the pricing hook of the counted/fused paths).
+    def run_cascade_fused(self, spec, tensors, opset=ARITHMETIC,
+                          opsets=None, sink=None, shapes=None, env=None,
+                          make_machines=None, on_fused=None,
+                          prep_cache=None):
+        """Run the cascade through the vector kernels.
+
+        No per-element trace events are emitted.  Each Einsum's kernel
+        drives the buffet/cache state machines supplied by
+        ``make_machines(name, ir)`` (a routing plan with a
+        ``port(tensor, rank, kind)`` method — see
+        :class:`repro.model.evaluate.FusedMachines`); without
+        ``make_machines`` every touch routes to DRAM.  After the kernel
+        returns, ``on_fused(name, counters, machines)`` prices both the
+        aggregate :class:`~repro.model.traces.KernelCounters` and the
+        machine tallies, right before ``einsum_end``.  ``sink``, when
+        given, receives the per-Einsum brackets and the swizzle events
+        (those originate outside the kernels).
+
+        Raises :class:`CodegenError` — before any Einsum runs — when the
+        generator cannot express some Einsum of the cascade.
         """
+        compiled = self.cache.get(spec)
         env, all_shapes, rank_orders = cascade_context(spec, tensors,
                                                        shapes, env)
         for unit in compiled.units:
@@ -506,122 +457,19 @@ class CompiledBackend(Backend):
                 sink.einsum_begin(ir.name, ir)
             prepared = self._prepare(ir, env, rank_orders, sink,
                                      prep_cache)
-            out, extra = run_unit(unit, prepared, ops, all_shapes)
+            counters = KernelCounters()
+            machines = make_machines(ir.name, ir) \
+                if make_machines else _NULL_ROUTING
+            out = unit.vector(_arenas_of(prepared, prep_cache), ops,
+                              all_shapes, counters, machines)
             if sink and ir.output.needs_producer_swizzle:
                 sink.swizzle(out.name, out.nnz, side="producer")
-            if after:
-                after(ir.name, extra)
+            if on_fused:
+                on_fused(ir.name, counters, machines)
             env[ir.name] = out.prune_empty()
             if sink:
                 sink.einsum_end(ir.name)
         return env
-
-    def run_cascade(self, spec, tensors, opset=ARITHMETIC, opsets=None,
-                    sink=None, shapes=None, env=None, prep_cache=None):
-        try:
-            compiled = self.cache.get(spec)
-        except CodegenError:
-            if self.fallback:
-                return self._interpreter.run_cascade(
-                    spec, tensors, opset=opset, opsets=opsets, sink=sink,
-                    shapes=shapes, env=env,
-                )
-            raise
-
-        def run_unit(unit, prepared, ops, all_shapes):
-            if sink:
-                return unit.traced(prepared, ops, all_shapes, sink), None
-            flat = unit.flat_or_none() \
-                if self.kernel_flavor == "flat" else None
-            if flat is not None:
-                return flat(_arenas_of(prepared, prep_cache), ops,
-                            all_shapes), None
-            return unit.fast(prepared, ops, all_shapes), None
-
-        return self._walk_cascade(spec, compiled, tensors, opset, opsets,
-                                  sink, shapes, env, run_unit,
-                                  prep_cache=prep_cache)
-
-    def run_cascade_counted(self, spec, tensors, opset=ARITHMETIC,
-                            opsets=None, sink=None, shapes=None, env=None,
-                            on_counters=None, prep_cache=None):
-        """Run the cascade through counter-fused arena kernels.
-
-        No per-element trace events are emitted; instead each Einsum's
-        aggregate :class:`~repro.model.traces.KernelCounters` is handed
-        to ``on_counters(name, counters)`` right before ``einsum_end``.
-        ``sink``, when given, still receives the per-Einsum brackets and
-        the swizzle events (those originate outside the kernels).
-
-        Raises :class:`CodegenError` — before any Einsum runs — when the
-        flat generator cannot express some Einsum of the cascade.
-        """
-        compiled = self.cache.get(spec)
-        for unit in compiled.units:
-            unit.counted  # force-compile everything up front
-
-        def run_unit(unit, prepared, ops, all_shapes):
-            counters = KernelCounters()
-            out = unit.counted(_arenas_of(prepared, prep_cache), ops,
-                               all_shapes, counters)
-            return out, counters
-
-        def after(name, counters):
-            if on_counters:
-                on_counters(name, counters)
-
-        return self._walk_cascade(spec, compiled, tensors, opset, opsets,
-                                  sink, shapes, env, run_unit, after,
-                                  prep_cache=prep_cache)
-
-    def run_cascade_fused(self, spec, tensors, opset=ARITHMETIC,
-                          opsets=None, sink=None, shapes=None, env=None,
-                          make_machines=None, on_fused=None,
-                          flavor: str = "fused", prep_cache=None):
-        """Run the cascade through model-fused arena kernels.
-
-        Like :meth:`run_cascade_counted`, but each Einsum's kernel also
-        drives the buffet/cache state machines supplied by
-        ``make_machines(name, ir)`` (a routing plan with a
-        ``port(tensor, rank, kind)`` method — see
-        :class:`repro.model.evaluate.FusedMachines`).  Without
-        ``make_machines``, every touch routes to DRAM and the run
-        degrades to plain counter fusion.  After the kernel returns,
-        ``on_fused(name, counters, machines)`` prices both the
-        aggregate counters and the machine tallies; ``sink`` still
-        receives the per-Einsum brackets and swizzle events.
-
-        ``flavor`` selects between the scalar ``"fused"`` kernels and
-        the ``"vector"`` kernels (identical semantics; eligible leaf
-        spans priced with batched numpy primitives).
-
-        Raises :class:`CodegenError` — before any Einsum runs — when the
-        flat generator cannot express some Einsum of the cascade.
-        """
-        if flavor not in ("fused", "vector"):
-            raise ValueError(
-                f"flavor must be 'fused' or 'vector', got {flavor!r}"
-            )
-        compiled = self.cache.get(spec)
-        for unit in compiled.units:
-            unit.vector if flavor == "vector" else unit.fused  # compile now
-
-        def run_unit(unit, prepared, ops, all_shapes):
-            counters = KernelCounters()
-            machines = make_machines(unit.ir.name, unit.ir) \
-                if make_machines else _NULL_ROUTING
-            kern = unit.vector if flavor == "vector" else unit.fused
-            out = kern(_arenas_of(prepared, prep_cache), ops, all_shapes,
-                       counters, machines)
-            return out, (counters, machines)
-
-        def after(name, extra):
-            if on_fused:
-                on_fused(name, *extra)
-
-        return self._walk_cascade(spec, compiled, tensors, opset, opsets,
-                                  sink, shapes, env, run_unit, after,
-                                  prep_cache=prep_cache)
 
     @staticmethod
     def _prepare(ir, env, rank_orders, sink,

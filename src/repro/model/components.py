@@ -37,9 +37,9 @@ class Traffic:
     ``n`` single accesses of ``b`` bits and one bulk record of ``(b, n)``
     produce bit-identical totals even for fractional ``b`` (e.g. eager
     subtree fills price ``total_bits / elements`` bits per element), no
-    matter how event and counter-fused pricing interleave.  The
-    differential suite relies on this to hold the traced, counted, and
-    fused metric paths to exact equality.
+    matter how event and counter pricing interleave.  The differential
+    suite relies on this to hold the traced and vector metric paths to
+    exact equality.
     """
 
     # (tensor, bits-per-access) -> access count
@@ -223,7 +223,7 @@ class BuffetModel:
         integer counts of the very same decisions :meth:`access_read` /
         :meth:`access_write` / :meth:`drain` would have taken per event,
         so pricing them in bulk is exact.  The event-driven API stays
-        intact for the interpreter and the traced kernels.
+        intact for the interpreter's traced runs.
         """
         self.reads += tallies["reads"]
         self.writes += tallies["writes"]

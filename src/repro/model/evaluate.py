@@ -25,7 +25,6 @@ from .backend import (
     CompileCache,
     CompiledBackend,
     InterpreterBackend,
-    canonical_key,
     resolve_backend,
 )
 from .components import (
@@ -489,70 +488,16 @@ class EvaluationResult:
 
 
 # ----------------------------------------------------------------------
-# Counter-fused pricing (metrics="counters")
+# Vector-kernel pricing (metrics="auto")
 # ----------------------------------------------------------------------
-#: Memo for :func:`counters_priceable`: the answer depends only on the
-#: spec content the probe consults, so sweeps over many workloads pay
-#: the ModelSink probe exactly once per distinct routing.
-_PRICEABLE_CACHE: Dict[object, bool] = {}
-
-
-def _priceable_key(spec: AcceleratorSpec):
-    """Memo key over exactly the spec *content* the priceability probe
-    consults: the cascade's Einsum names, each Einsum's data bindings
-    and config, and the architecture (component classes resolve which
-    bindings become buffer models).
-
-    Content-derived on purpose — never object identity — so mutating a
-    spec's bindings or architecture in place re-keys instead of serving
-    a stale answer.  Mapping, shapes, expressions, and format are
-    excluded: they never influence whether a binding lands on a buffer,
-    so shape/mapping variants of one accelerator share the memo entry.
-    """
-    parts = []
-    for einsum in spec.einsum.cascade:
-        binding = spec.binding.for_einsum(einsum.name)
-        parts.append((einsum.name, binding.config,
-                      canonical_key(binding.data)))
-    return (tuple(parts), canonical_key(spec.architecture))
-
-
-def counters_priceable(spec: AcceleratorSpec) -> bool:
-    """Can this spec's metrics be priced from aggregate counters alone?
-
-    Exactly when no Einsum binds data to a buffer or cache: buffets and
-    caches derive fills and drains from per-element keys and evict
-    windows, which aggregates cannot reconstruct (the *fused* metrics
-    path inlines those state machines instead — see
-    :class:`FusedMachines`).  Everything else — DRAM traffic,
-    intersection units, functional units, sequencers, mergers — is a
-    pure function of the tallies, so counter pricing is *exact* (equal
-    to the traced result), not an approximation.
-    """
-    key = _priceable_key(spec)
-    cached = _PRICEABLE_CACHE.get(key)
-    if cached is not None:
-        return cached
-    probe = ModelSink(spec, {})
-    result = True
-    for einsum in spec.einsum.cascade:
-        probe.einsum_begin(einsum.name, None)
-        buffered = bool(probe.current.buffers)
-        probe.einsum_end(einsum.name)
-        if buffered:
-            result = False
-            break
-    _PRICEABLE_CACHE[key] = result
-    return result
-
-
 def _price_counters(sink: ModelSink, counters: KernelCounters) -> None:
     """Price one Einsum's fused counters into the active component models.
 
     Mirrors :class:`ModelSink`'s per-event routing, applied to the
     aggregates in one pass (the ``einsum_end``-time pricing of the
-    counter-fused path).  Only valid when :func:`counters_priceable`
-    held — i.e. every data route lands on DRAM.
+    vector kernels).  The counters hold only DRAM-routed data events:
+    touches a buffet or cache claims go to its :class:`FusedMachines`
+    machine instead.
     """
     em = sink.current
     oracle = sink.oracle
@@ -573,61 +518,16 @@ def _price_counters(sink: ModelSink, counters: KernelCounters) -> None:
             seq.compute(n)
 
 
-def _evaluate_counters(spec, tensors, opset, opsets, shapes, energy_model,
-                       engine, prep_cache=None,
-                       check_priceable: bool = True
-                       ) -> Optional[EvaluationResult]:
-    """The counter-fused evaluation path; None when it does not apply.
-
-    With ``check_priceable=False`` the priceability gate is skipped: every
-    event is priced as DRAM traffic even when the spec binds buffers or
-    caches.  That is *approximate* for buffered specs (buffet fills and
-    cache hits are not modeled) — it exists as the cheap phase-1 surrogate
-    of the search subsystem's two-phase pruning
-    (``metrics="counters-only"``), never as an exact mode.
-    """
-    if not isinstance(engine, CompiledBackend):
-        return None
-    if check_priceable and not counters_priceable(spec):
-        return None
-    env: Dict[str, Tensor] = {}
-    sink = ModelSink(spec, env)
-
-    def on_counters(name: str, counters: KernelCounters) -> None:
-        _price_counters(sink, counters)
-
-    try:
-        engine.run_cascade_counted(
-            spec, tensors, opset=opset, opsets=opsets, sink=sink,
-            shapes=shapes, env=env, on_counters=on_counters,
-            prep_cache=prep_cache,
-        )
-    except CodegenError:
-        return None
-    blocks = fuse_blocks(spec, sink)
-    return EvaluationResult(
-        spec=spec,
-        einsums=sink.einsums,
-        blocks=blocks,
-        env=env,
-        oracle=sink.oracle,
-        energy_model=energy_model or EnergyModel(),
-    )
-
-
-# ----------------------------------------------------------------------
-# Model-fused pricing (metrics="fused")
-# ----------------------------------------------------------------------
 class FusedMachines:
-    """Routing plan + component state machines for one fused Einsum run.
+    """Routing plan + component state machines for one vector-kernel run.
 
-    The fused kernels are compiled *binding-independent* (they share the
-    lowering cache key with the other flavors); the binding arrives here
+    The vector kernels are compiled *binding-independent* (they share the
+    lowering cache key across bindings); the binding arrives here
     instead.  At kernel entry each touched ``(tensor, rank, kind)``
     triple asks :meth:`port` for its destination: ``None`` routes to
     DRAM (the kernel bumps its fused counter), a machine routes to the
     inlined buffet/cache model.  Routing reuses
-    :meth:`ModelSink._route` verbatim, so the fused path can never
+    :meth:`ModelSink._route` verbatim, so the vector path can never
     disagree with the traced path about where an event lands.
 
     One machine is built per :class:`~repro.model.components.BuffetModel`
@@ -677,15 +577,13 @@ class FusedMachines:
                                      model.binding.tensor, tallies)
 
 
-def _evaluate_fused(spec, tensors, opset, opsets, shapes, energy_model,
-                    engine, flavor: str = "fused",
-                    prep_cache=None) -> Optional[EvaluationResult]:
-    """The model-fused evaluation path; None when it does not apply.
+def _evaluate_vector(spec, tensors, opset, opsets, shapes, energy_model,
+                     engine, prep_cache=None) -> Optional[EvaluationResult]:
+    """The vector-kernel evaluation path; None when it does not apply
+    (a non-compiled engine, or a spec the generator cannot express).
 
-    Applies to *every* spec the flat generator can express — buffered or
-    not — since unrouted events degrade to plain counter fusion.
-    ``flavor`` picks the scalar ``"fused"`` kernels or the numpy-span
-    ``"vector"`` kernels (identical results either way).
+    Applies to buffered and unbuffered specs alike: unrouted events are
+    plain counters.
     """
     if not isinstance(engine, CompiledBackend):
         return None
@@ -704,7 +602,7 @@ def _evaluate_fused(spec, tensors, opset, opsets, shapes, energy_model,
         engine.run_cascade_fused(
             spec, tensors, opset=opset, opsets=opsets, sink=sink,
             shapes=shapes, env=env, make_machines=make_machines,
-            on_fused=on_fused, flavor=flavor, prep_cache=prep_cache,
+            on_fused=on_fused, prep_cache=prep_cache,
         )
     except CodegenError:
         return None
@@ -788,47 +686,27 @@ def evaluate(
     with interpreter fallback — the default), or a
     :class:`~repro.model.backend.Backend` instance.
 
-    ``metrics`` selects how component models are fed.  Every mode is
-    exact — the differential conformance suite holds them bit-equal —
-    so the choice is purely about speed:
+    ``metrics`` selects how component models are fed:
 
-    * ``"auto"`` (default) — the vector kernels for every spec the flat
-      generator can express, sink-less and buffered alike (unrouted
-      events degrade to counter fusion, so nothing is lost on specs
-      without buffers); per-event tracing only as a last-resort
-      fallback for mappings the flat generator cannot express.
-    * ``"trace"`` — one event per touched element streams to a
-      :class:`ModelSink`; the reference path, works on every backend.
-    * ``"counters"`` — counter fusion: arena-native kernels accumulate
-      per-rank read/write/intersection/compute tallies and the models
-      price them in one pass per Einsum.  Used when the spec binds no
-      buffers/caches; otherwise silently falls back to ``"trace"``.
-    * ``"counters-only"`` — the counter-fused kernels with the
-      priceability gate *skipped*: every data event is priced as DRAM
-      traffic even when the spec binds buffers or caches.  The one
-      exception to "every mode is exact": on buffered specs this is a
-      cheap, deliberately approximate surrogate (the phase-1 score of
-      :mod:`repro.search`'s two-phase pruning); on sink-less specs it
-      coincides with ``"counters"``.
-    * ``"fused"`` — model fusion: counter fusion plus the buffet/cache
-      state machines inlined into the generated loops
-      (:class:`FusedMachines`); applies to buffered and unbuffered
-      specs alike, falling back to ``"trace"`` only when the flat
-      generator cannot express the mapping.
-    * ``"vector"`` — the fused kernels with eligible innermost-rank
-      spans priced through batched numpy primitives
-      (``np.searchsorted``-style intersection, bulk tallies, sequential
-      ``np.add.accumulate`` reductions); per-span runtime guards fall
-      back to the scalar loop, so results are bit-identical by
-      construction.
-    * ``"analytical"`` — the second deliberately *approximate* tier
-      (alongside ``"counters-only"``): expected metrics computed from
-      sparsity statistics alone, never walking a tensor.  ``stats``
-      (a :class:`~repro.model.analytical.WorkloadStats`) supplies the
+    * ``"auto"`` (default) — the generated vector kernels: arena loops
+      tally the aggregates of the trace-event stream, drive inlined
+      buffet/cache state machines (:class:`FusedMachines`), and batch
+      eligible innermost-rank spans through numpy.  Exact — the
+      differential suite holds it bit-identical to ``"trace"``.  Falls
+      back to ``"trace"`` on the interpreter backend and for mappings
+      the generator cannot express.
+    * ``"trace"`` — the reference path: the interpreter streams one
+      event per touched element to a :class:`ModelSink`.
+    * ``"analytical"`` — the one deliberately *approximate* tier:
+      expected metrics computed from sparsity statistics alone, never
+      walking a tensor.  ``stats`` (a
+      :class:`~repro.model.analytical.WorkloadStats`) supplies the
       statistics; when omitted they are measured from ``tensors``.
-      Microseconds per candidate — the phase-0 scorer of the search
-      subsystem's pruning cascade.  See :mod:`repro.model.analytical`
-      for the accuracy contract.
+      Microseconds per candidate — the phase-1 scorer of the search
+      subsystem's pruning.  See :mod:`repro.model.analytical` for the
+      accuracy contract.
+
+    Any other mode raises :class:`ValueError`.
 
     ``prep_cache`` (a :class:`~repro.model.backend.PrepCache`) memoizes
     tensor preparation and arena conversion across evaluations sharing
@@ -839,8 +717,9 @@ def evaluate(
     cross-process result store before evaluating and publishes the
     result after: a hit returns the exact pickled result a cold run
     would compute (the key covers the spec's full fingerprint, every
-    input tensor's *content* digest, the metrics mode, the opset, and
-    shape overrides), so warm and cold runs are bit-identical by
+    input tensor's *content* digest, the opset, and shape overrides —
+    not the metrics mode: ``"auto"`` and ``"trace"`` are bit-identical,
+    so they share entries), so warm and cold runs are bit-identical by
     construction.  Arguments that cannot be keyed durably — an unnamed
     opset, per-Einsum overrides, a custom energy model or backend —
     bypass the store with a :class:`StoreBypassWarning` naming each
@@ -854,6 +733,11 @@ def evaluate(
     :class:`~repro.analysis.SpecVerificationError` on any
     error-severity finding before a single kernel runs.
     """
+    if metrics not in ("auto", "trace", "analytical"):
+        raise ValueError(
+            f"unknown metrics mode {metrics!r}; known: 'auto', 'trace', "
+            "'analytical'"
+        )
     lint_gate(spec, tensors=tensors, shapes=shapes, stats=stats,
               validate=validate)
     if metrics == "analytical":
@@ -879,8 +763,8 @@ def evaluate(
             )
             store = None
         else:
-            store_key = store.result_key(spec, tensors, metrics,
-                                         _opset_token(opset), shapes)
+            store_key = store.result_key(spec, tensors, _opset_token(opset),
+                                         shapes)
             hit = store.get_result(store_key)
             if hit is not MISS:
                 return hit
@@ -896,33 +780,14 @@ def evaluate(
 
 def _evaluate_uncached(spec, tensors, opset, opsets, shapes, energy_model,
                        engine, metrics, prep_cache) -> EvaluationResult:
-    """The metrics-mode dispatch of :func:`evaluate`, after the
-    analytical branch and the persistent-store consult."""
-    if metrics in ("auto", "vector"):
-        result = _evaluate_fused(spec, tensors, opset, opsets, shapes,
-                                 energy_model, engine, flavor="vector",
-                                 prep_cache=prep_cache)
+    """The exact metrics modes of :func:`evaluate`, after the analytical
+    branch and the persistent-store consult."""
+    if metrics == "auto":
+        result = _evaluate_vector(spec, tensors, opset, opsets, shapes,
+                                  energy_model, engine,
+                                  prep_cache=prep_cache)
         if result is not None:
             return result
-    elif metrics in ("counters", "counters-only"):
-        result = _evaluate_counters(
-            spec, tensors, opset, opsets, shapes, energy_model, engine,
-            prep_cache=prep_cache,
-            check_priceable=(metrics == "counters"),
-        )
-        if result is not None:
-            return result
-    elif metrics == "fused":
-        result = _evaluate_fused(spec, tensors, opset, opsets, shapes,
-                                 energy_model, engine,
-                                 prep_cache=prep_cache)
-        if result is not None:
-            return result
-    elif metrics != "trace":
-        raise ValueError(
-            f"unknown metrics mode {metrics!r}; known: 'auto', 'trace', "
-            "'counters', 'counters-only', 'fused', 'vector', 'analytical'"
-        )
     env: Dict[str, Tensor] = {}
     sink = ModelSink(spec, env)
     engine.run_cascade(spec, tensors, opset=opset, opsets=opsets, sink=sink,
@@ -1043,8 +908,8 @@ def cache_incompatibilities(opset, opsets, energy_model, engine) -> List[str]:
 
     Returns a human-readable reason per offending argument (empty when
     caching can engage).  The store keys an evaluation by name-able
-    content — spec fingerprint, tensor content digests, metrics mode,
-    *named* opset, shapes — so anything unnameable (an ad-hoc opset,
+    content — spec fingerprint, tensor content digests, *named* opset,
+    shapes — so anything unnameable (an ad-hoc opset,
     per-Einsum overrides, a custom energy model) or of unknown
     semantics (a third-party backend; the built-in engines are
     bit-identical to each other by the differential contract, so they

@@ -115,7 +115,7 @@ class CountingSink(TraceSink):
 class KernelCounters:
     """Counter-fused trace aggregates for one Einsum execution.
 
-    Filled by the "counted" arena-native kernels
+    Filled by the generated vector kernels
     (:mod:`repro.ir.codegen_flat`): instead of one sink method call per
     touched element, the kernel bumps local integers and flushes them
     here once.  The tallies equal the aggregates of the per-element
@@ -126,12 +126,13 @@ class KernelCounters:
     * ``reads`` / ``writes`` — ``(tensor, rank, kind) -> count``;
     * ``isects`` — ``rank -> [visited, matched]``;
     * ``computes`` — ``op -> [n, time-stamp set, space-stamp set]``;
-    * ``actions`` — per-component action tallies from the *fused* kernel
-      flavor: ``[(component, tensor, {action: count}), ...]``, one entry
-      per buffet/cache state machine that received events.  Recorded by
+    * ``actions`` — per-component action tallies of the kernels' inlined
+      component machines: ``[(component, tensor, {action: count}),
+      ...]``, one entry per buffet/cache state machine that received
+      events.  Recorded by
       :meth:`repro.model.evaluate.FusedMachines.settle` after the models
       were priced, so tests and studies can inspect exactly which
-      fills/drains/hits/evictions the fused path accounted.
+      fills/drains/hits/evictions the kernels accounted.
     """
 
     __slots__ = ("reads", "writes", "isects", "computes", "actions")

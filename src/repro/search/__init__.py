@@ -10,9 +10,9 @@ It splits the problem into three orthogonal pieces:
 * :mod:`repro.search.strategies` — pluggable candidate generators behind
   :class:`SearchStrategy`: exhaustive, seeded random, greedy beam;
 * :mod:`repro.search.runner` — parallel candidate evaluation (threads or
-  processes, shared compile + prep caches), two-phase counters-then-exact
-  pruning, and the entry points :func:`search`, :func:`explore`, and
-  :func:`explore_cascade`;
+  processes, shared compile + prep caches), two-phase
+  analytical-then-exact pruning, and the entry points :func:`search`,
+  :func:`explore`, and :func:`explore_cascade`;
 * :mod:`repro.search.supervisor` / :mod:`repro.search.journal` — the
   fault-tolerance layer: per-candidate timeouts, bounded retry with
   failure classification, broken-pool recovery, and crash-safe
@@ -25,8 +25,6 @@ It splits the problem into three orthogonal pieces:
   result bit-identical to an in-process ``search()``.  Pairs with the
   cross-process persistent cache (:mod:`repro.store`, exposed as
   ``search(..., cache=dir)``).
-
-``repro.explore`` remains as a thin compatibility shim over this package.
 """
 
 from ..store import PayloadVersionError
@@ -54,8 +52,6 @@ from .results import (
     metrics_fingerprint,
 )
 from .runner import (
-    CHEAP_METRICS,
-    FULL_METRICS,
     SearchRunner,
     explore,
     explore_cascade,
@@ -84,13 +80,11 @@ from .strategies import (
 
 __all__ = [
     "BeamSearch",
-    "CHEAP_METRICS",
     "Candidate",
     "CandidateTimeoutError",
     "CascadeSearchResult",
     "ExhaustiveSearch",
     "ExplorationResult",
-    "FULL_METRICS",
     "FailureRecord",
     "JobError",
     "JobStatus",

@@ -1,8 +1,7 @@
 """Result containers for mapping-space search.
 
-:class:`ExplorationResult` keeps its historical (`repro.explore`) shape —
-a list of ``(Candidate, EvaluationResult)`` pairs with ranking helpers —
-and :class:`SearchResult` extends it with what a strategy-driven,
+:class:`ExplorationResult` is the plain sweep result — a list of
+``(Candidate, EvaluationResult)`` pairs with ranking helpers — and :class:`SearchResult` extends it with what a strategy-driven,
 possibly pruned run adds: the phase-1 surrogate scores, the strategy
 name, and run statistics.  :class:`CascadeSearchResult` collects one
 :class:`SearchResult` per Einsum of a cascade sweep.

@@ -1,7 +1,7 @@
 """Parallel, pruned mapping-space search over real tensors.
 
 This is the evaluation engine behind :func:`search`, :func:`explore`
-(the historical serial sweep, now a thin wrapper), and
+(the serial exhaustive sweep, a thin wrapper), and
 :func:`explore_cascade` (the paper's named future-work rung: searching a
 whole cascade's mappings Einsum by Einsum).
 
@@ -31,32 +31,21 @@ The runner composes three independent pieces:
   journaled result bit-identically, so a killed sweep finishes from
   where it stopped (see :mod:`repro.search.journal`).
 * **Two-phase pruning** (``prune_to=k``): every proposed candidate is
-  scored first with a cheap fast path, then only the top-k survivors are
-  re-priced with the full per-event traced metrics (``metrics="trace"``,
-  the reference path) — and only when the spec binds buffers or caches;
-  on sink-less specs the cheap phase is already exact
-  (:func:`~repro.model.evaluate.counters_priceable`) and phase 2 is
-  skipped entirely.  Two surrogates are available via ``prune_metrics``:
+  scored first with the ``prune_metrics`` mode, then only the top-k
+  survivors are kept.  Two modes are available:
 
-  - ``"auto"`` (the default) — the vector/fused kernels.  These are
-    *bit-identical* to the traced reference (the conformance suite
-    enforces it), so pruning with any ``k >= 1`` provably preserves the
-    best candidate; the speedup comes from pricing the non-survivors
-    without ever paying the per-event trace.
-  - ``"counters-only"`` — the counter-only kernels, which price every
-    event as DRAM traffic.  Cheaper still, but *approximate* on
-    buffered specs: buffering can reorder candidates, so the true best
-    is only guaranteed to survive when ``k`` absorbs the surrogate's
-    ranking error.  Use for very large spaces where even the vector
-    pass is too slow.
+  - ``"auto"`` (the default) — the vector kernels.  These are
+    *bit-identical* to the traced reference (the differential suite
+    enforces it), so phase 1 is already exact: the top-k are kept as
+    priced and nothing is re-priced.
   - ``"analytical"`` — the statistics-based pricing tier
     (:func:`~repro.model.analytical.evaluate_analytical`): no tensor is
     walked at all, candidates are priced from sparsity statistics
-    extracted once per sweep.  Orders of magnitude faster than any
-    executing surrogate, but approximate *everywhere* (sink-less specs
-    included), so phase 2 always re-prices the survivors and the
-    exact-survivor guarantee is relaxed to top-k recall: the true best
-    survives whenever ``k`` absorbs the documented error bounds (the
+    extracted once per sweep.  Orders of magnitude faster than
+    executing a candidate, but approximate, so phase 2 re-prices the
+    survivors exactly with ``metrics="auto"`` and the exact-survivor
+    guarantee is relaxed to top-k recall: the true best survives
+    whenever ``k`` absorbs the documented error bounds (the
     cross-validation suite in ``tests/model/test_analytical.py`` pins
     them).  Scored serially — each candidate prices in well under a
     millisecond, so pool dispatch would cost more than it saves.
@@ -83,7 +72,6 @@ from ..model.evaluate import (
     _opset_token,
     _process_one,
     cache_incompatibilities,
-    counters_priceable,
     default_workers,
     evaluate,
     resolve_pool_mode,
@@ -104,12 +92,6 @@ from .results import (
 from .space import Candidate, MappingSpace, apply_candidate
 from .strategies import SearchStrategy, resolve_strategy
 from .supervisor import DETERMINISTIC, FailureRecord, SweepSupervisor
-
-#: The approximate (all-DRAM) surrogate for ``prune_metrics``.
-CHEAP_METRICS = "counters-only"
-
-#: The metrics mode survivors are re-priced with (the reference path).
-FULL_METRICS = "trace"
 
 #: How many consecutive all-duplicate proposal rounds the runner
 #: tolerates before concluding a strategy is stuck (its contract allows
@@ -172,6 +154,11 @@ class SearchRunner:
             )
         if prune_to is not None and prune_to < 1:
             raise ValueError("prune_to must be >= 1")
+        if prune_metrics not in ("auto", "analytical"):
+            raise ValueError(
+                f"unknown prune_metrics {prune_metrics!r}; known: 'auto', "
+                "'analytical'"
+            )
         if journal is not None and resume is not None and journal != resume:
             raise ValueError(
                 "journal= and resume= point at different paths; resume "
@@ -492,17 +479,17 @@ class SearchRunner:
                 by_score = sorted(range(len(scored)),
                                   key=lambda i: (scores[i][1], i))
                 keep = {scores[i][0] for i in by_score[:k]}
-                survivors = [c for c, _ in scored if c in keep]
-                if (counters_priceable(self.spec)
-                        and phase1_metrics != "analytical"):
-                    # No buffers bound: the cheap phase was exact already.
-                    # (The analytical surrogate is approximate even then,
-                    # so its survivors always get re-priced.)
-                    candidates = [(c, r) for c, r in scored if c in keep]
-                else:
-                    candidates = self._evaluate_batch(survivors,
-                                                      FULL_METRICS, phase=2)
+                if phase1_metrics == "analytical":
+                    # The statistics tier is approximate: re-price the
+                    # survivors exactly.
+                    survivors = [c for c, _ in scored if c in keep]
+                    candidates = self._evaluate_batch(survivors, "auto",
+                                                      phase=2)
                     n_repriced = len(candidates)
+                else:
+                    # The vector kernels are exact: phase 1 already
+                    # priced the survivors.
+                    candidates = [(c, r) for c, r in scored if c in keep]
             else:
                 candidates = scored
 
@@ -604,13 +591,13 @@ def search(
     candidate lists and rankings.
 
     ``prune_to=k`` enables two-phase pruning: every candidate is scored
-    with the cheap ``prune_metrics`` fast path (``"auto"`` — the vector
-    kernels, bit-identical to the trace so the best provably survives —
-    ``"counters-only"``, cheaper but approximate on buffered specs, or
-    ``"analytical"``, which prices candidates from sparsity statistics
-    alone and needs ``k`` large enough to absorb its documented error
-    bounds) and only the best ``k`` are re-priced with the full
-    per-event traced metrics; see the module docstring for the contract.
+    with ``prune_metrics`` and only the best ``k`` are kept.  With
+    ``"auto"`` (the vector kernels, bit-identical to the trace) the
+    scores are exact and nothing is re-priced; with ``"analytical"``
+    (sparsity statistics alone, which needs ``k`` large enough to
+    absorb its documented error bounds) the ``k`` survivors are
+    re-priced exactly with ``metrics="auto"``.  See the module
+    docstring for the contract.
     ``metric`` picks the ranking scalar: ``"exec_seconds"``,
     ``"cycles"``, ``"traffic"``, or ``"energy"``.
 
@@ -632,7 +619,7 @@ def search(
     :class:`~repro.store.PersistentStore`) makes the sweep read-through
     and write-through a disk-backed cross-process store: every priced
     candidate is published under its durable key (spec fingerprint +
-    tensor content digests + metrics mode + opset + shapes), and a
+    tensor content digests + opset + shapes), and a
     re-run of the same sweep — in this process or any other — adopts
     the stored results bit-identically instead of re-evaluating.  With
     the default backend the compile cache is store-backed too, so warm
@@ -681,9 +668,9 @@ def explore(
     metrics: str = "auto",
 ) -> SearchResult:
     """Sweep mappings of one Einsum serially and evaluate each on real
-    tensors — the historical exhaustive sweep, kept as the simple entry
-    point (and for any caller that needs strictly sequential
-    evaluation).  :func:`search` is the parallel, pruned superset.
+    tensors — the simple exhaustive entry point (and the one for any
+    caller that needs strictly sequential evaluation).  :func:`search`
+    is the parallel, pruned superset.
 
     Each candidate runs through the selected execution ``backend``
     (compiled generated-Python kernels by default) with the given

@@ -8,9 +8,10 @@ how to enumerate it exhaustively, sample it, and step between neighboring
 candidates — the three primitives the strategies in
 :mod:`repro.search.strategies` are built from.
 
-``enumerate_candidates`` and ``apply_candidate`` keep their historical
-(`repro.explore`) signatures; enumeration now deduplicates, so repeated
-tile sizes or degenerate spaces can never evaluate one mapping twice.
+:func:`enumerate_candidates` lists the whole space and
+:func:`apply_candidate` installs one candidate into a spec; enumeration
+deduplicates, so repeated tile sizes or degenerate spaces can never
+evaluate one mapping twice.
 """
 
 from __future__ import annotations

@@ -48,7 +48,7 @@ The two concrete uses are **kernels** (lowered
 :class:`~repro.ir.nodes.LoopNestIR` per canonical spec key — a hit
 skips lowering, the dominant cost of a cold compile) and **results**
 (pickled evaluation results keyed on the full semantic fingerprint of
-``(spec, workload contents, metrics mode, opset, shapes)``).  The
+``(spec, workload contents, opset, shapes)``).  The
 result key hashes tensor *contents*, not just shapes, so a hit is
 guaranteed to reproduce the exact result a cold run would compute —
 the bit-identity-on-hit contract the differential suite enforces.
@@ -463,7 +463,7 @@ class PersistentStore:
             self._tensor_fps.setdefault(ident, (tensor, digest))
         return digest
 
-    def result_key(self, spec, tensors: Dict[str, Any], metrics: str,
+    def result_key(self, spec, tensors: Dict[str, Any],
                    opset_token: Optional[str],
                    shapes: Optional[Dict[str, int]]) -> str:
         """The full semantic key of one evaluation.
@@ -471,10 +471,11 @@ class PersistentStore:
         Covers everything that can change the result: the spec's full
         fingerprint (every layer, via
         :func:`~repro.model.backend.spec_fingerprint`), each input
-        tensor's *content* digest, the metrics mode (``counters-only``
-        is approximate, so modes never share entries), the opset, and
-        explicit shape overrides.  Hits are therefore bit-identical to
-        a cold run by construction.
+        tensor's *content* digest, the opset, and explicit shape
+        overrides.  Hits are therefore bit-identical to a cold run by
+        construction.  The metrics mode is not part of the key: every
+        mode that caches is exact (``"auto"`` and ``"trace"`` agree bit
+        for bit), and the approximate analytical tier never caches.
         """
         from ..model.backend import spec_fingerprint
 
@@ -483,7 +484,6 @@ class PersistentStore:
         for name in sorted(tensors):
             h.update(name.encode())
             h.update(self.tensor_fingerprint(tensors[name]).encode())
-        h.update(metrics.encode())
         h.update(repr(opset_token).encode())
         h.update(repr(sorted((shapes or {}).items())).encode())
         return h.hexdigest()

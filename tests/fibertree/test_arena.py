@@ -275,12 +275,14 @@ mapping:
     backend = CompiledBackend(cache=CompileCache())
     unit = backend.compile(spec).units[0]
     from repro.einsum.operators import ARITHMETIC
+    from repro.model.backend import _NULL_ROUTING
     from repro.model.traces import KernelCounters
     shapes = {"I": 8, "J": 8}
     results = []
     for arena in (numpy_arena, list_arena):
         kc = KernelCounters()
-        out = unit.counted({"A": arena}, ARITHMETIC, shapes, kc)
+        out = unit.vector({"A": arena}, ARITHMETIC, shapes, kc,
+                          _NULL_ROUTING)
         results.append((out.points(),
                         dict(kc.reads), dict(kc.writes), kc.isects,
                         {k: [n, ts, ss]

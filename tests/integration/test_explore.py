@@ -1,8 +1,8 @@
-"""Tests for the mapping-space exploration module."""
+"""Serial mapping-space exploration (:func:`repro.search.explore`)."""
 
 import pytest
 
-from repro.explore import Candidate, apply_candidate, enumerate_candidates, \
+from repro.search import Candidate, apply_candidate, enumerate_candidates, \
     explore
 from repro.fibertree import tensor_to_dense
 from repro.spec import load_spec
@@ -182,19 +182,17 @@ class TestToTable:
 
 class TestExploreMetricsModes:
     def test_metrics_modes_agree(self, tensors):
-        """auto (vector), counters, and trace sweeps rank identically
-        with identical numbers."""
+        """auto (vector) and trace sweeps rank identically with identical
+        numbers."""
         base = load_spec(BASE)
         results = {
             m: explore(base, tensors, max_loop_orders=2, metrics=m)
-            for m in ("auto", "counters", "trace")
+            for m in ("auto", "trace")
         }
-        ref = results["trace"]
-        for mode in ("auto", "counters"):
-            got = results[mode]
-            for (c1, r1), (c2, r2) in zip(ref.candidates, got.candidates):
-                assert c1 == c2
-                assert r1.exec_seconds == r2.exec_seconds
-                assert r1.traffic_bytes() == r2.traffic_bytes()
-                assert r1.energy_pj == r2.energy_pj
-                assert r1.env["Z"].points() == r2.env["Z"].points()
+        ref, got = results["trace"], results["auto"]
+        for (c1, r1), (c2, r2) in zip(ref.candidates, got.candidates):
+            assert c1 == c2
+            assert r1.exec_seconds == r2.exec_seconds
+            assert r1.traffic_bytes() == r2.traffic_bytes()
+            assert r1.energy_pj == r2.energy_pj
+            assert r1.env["Z"].points() == r2.env["Z"].points()

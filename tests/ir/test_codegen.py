@@ -2,11 +2,14 @@
 
 import numpy as np
 
-from repro.fibertree import tensor_from_dense, tensor_to_dense
+from repro.fibertree import arena_from_tensor, tensor_from_dense, \
+    tensor_to_dense
 from repro.ir import build_cascade_ir, build_ir
-from repro.ir.codegen import compile_ir, generate_module, generate_source
-from repro.model import execute_cascade
+from repro.ir.codegen import compile_ir
+from repro.model import CompileCache, CompiledBackend, execute_cascade
+from repro.model.backend import _NULL_ROUTING
 from repro.model.executor import prepare_tensor
+from repro.model.traces import KernelCounters
 from repro.spec import load_spec
 
 
@@ -38,7 +41,9 @@ def compile_and_run(spec_text, tensors_dense, shapes=None):
         )
     from repro.einsum import ARITHMETIC
 
-    generated = fn(prepared, ARITHMETIC, all_shapes).prune_empty()
+    arenas = {name: arena_from_tensor(t) for name, t in prepared.items()}
+    generated = fn(arenas, ARITHMETIC, all_shapes, KernelCounters(),
+                   _NULL_ROUTING).prune_empty()
     env = execute_cascade(spec, tensors)
     return generated, env[name], source
 
@@ -72,10 +77,10 @@ class TestGeneratedMatmul:
 
     def test_source_is_plain_python(self):
         spec = load_spec(MATMUL)
-        src = generate_source(build_ir(spec, "Z"))
-        assert "def kernel(tensors, opset, shapes):" in src
-        assert "coiterate_intersect" in src
-        assert "reduce_into" in src
+        _, src = compile_ir(build_ir(spec, "Z"))
+        assert "def kernel(arenas, opset, shapes, kc, fm):" in src
+        assert "_bl(" in src  # the inlined galloping two-way merge
+        assert "rt.reduce_leaf(" in src
 
     def test_tiled_mapping(self):
         gen, interp, _ = compile_and_run(
@@ -184,34 +189,14 @@ einsum:
     - T[k, m, n] = A[k, m] * B[k, n]
     - Z[m, n] = T[k, m, n]
 """)
-        irs = build_cascade_ir(spec)
-        source = generate_module(irs)
-        namespace = {}
-        exec(compile(source, "<module>", "exec"), namespace)
-
         a = random_dense((9, 7), 0.4, 15)
         b = random_dense((9, 6), 0.4, 16)
         tensors = {
             "A": tensor_from_dense("A", ["K", "M"], a),
             "B": tensor_from_dense("B", ["K", "N"], b),
         }
-        shapes = {"K": 9, "M": 7, "N": 6}
-        plans = {ir.name: ir for ir in irs}
-
-        def prepare(name, env):
-            ir = plans[name]
-            out = {}
-            for plan in ir.accesses:
-                order = spec.mapping.rank_order_of(
-                    plan.tensor, spec.einsum.ranks_of(plan.tensor)
-                )
-                out[plan.tensor] = prepare_tensor(env[plan.tensor], order,
-                                                  plan.prep)
-            return out
-
-        from repro.einsum import ARITHMETIC
-
-        env = namespace["run_cascade"](tensors, ARITHMETIC, shapes, prepare)
+        env = CompiledBackend(cache=CompileCache()).run_cascade(spec,
+                                                                tensors)
         np.testing.assert_allclose(
             tensor_to_dense(env["Z"], shape=[7, 6]), a.T @ b
         )
@@ -221,8 +206,8 @@ einsum:
 
         spec = accelerator("gamma")
         ir = build_ir(spec, "T")  # B is an occupancy follower
-        src = generate_source(ir)
-        assert "rt.window(" in src  # follower adopts the leader's window
+        _, src = compile_ir(ir)
+        assert "rt.window_span(" in src  # follower adopts the leader's window
 
     def test_every_registered_spec_compiles(self):
         from repro.accelerators import FACTORIES, accelerator
@@ -230,8 +215,7 @@ einsum:
         for name in FACTORIES:
             spec = accelerator(name)
             for ir in build_cascade_ir(spec):
-                generate_source(ir)
-                generate_source(ir, traced=True)
+                compile_ir(ir)
 
 
 class TestGeneratedOccupancyFollower:

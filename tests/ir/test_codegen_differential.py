@@ -1,38 +1,39 @@
-"""Differential test harness: compiled kernels vs. the interpreter.
+"""Differential test harness: the vector kernels vs. the interpreter.
 
-The compiled backends are only trustworthy if they are
-*indistinguishable* from the reference interpreter — same outputs and
-the same trace-derived traffic, for every registered accelerator spec
-and for the tricky mapping features (occupancy followers, runtime
-windows, flattening, multi-level splits, affine projection, take/union
-leaves).
+The compiled backend is only trustworthy if it is *indistinguishable*
+from the reference interpreter — same outputs and the same
+trace-derived metrics, for every registered accelerator spec and for
+the tricky mapping features (occupancy followers, runtime windows,
+flattening, multi-level splits, affine projection, take/union leaves).
 
-Three execution paths are held together here:
+One reference (the interpreter, with and without a trace sink) is held
+against one fast path (the generated vector kernels), three ways:
 
-* **interpreter vs. object-compiled (traced)** — compared at the
-  strongest level available: the full ordered trace-event stream.
-  Equal streams imply equal traffic counts, equal intersection
-  statistics, and equal spacetime stamps, for any component model
-  downstream.
-* **flat-compiled (arena-native, untraced)** — outputs must equal both
-  engines above, and the specs under test must *actually* flat-compile
-  (no silent fallback to object kernels).
-* **counted (counter-fused)** — the per-Einsum aggregate tallies must
-  equal the aggregates of the interpreter's ordered event stream,
-  read for read, intersection for intersection, stamp set for stamp
-  set.
-* **fused (model-fused) and vector** — full
-  :func:`repro.model.evaluate.evaluate` metrics (traffic, cycles,
-  energy, action counts, per-component times, outputs) must be
-  *bit-identical* across the traced interpreter, the traced compiled
-  kernels, the fused kernels, the vector kernels (with
-  ``VLEAF_MIN`` pinned to 0 so the batched numpy spans engage even on
-  these small hypothesis inputs), and the ``metrics="auto"``
-  dispatcher, for every spec — buffered accelerators included.
+* **outputs** — untraced compiled runs must reproduce the interpreter's
+  output tensors, and the specs under test must *actually* compile (the
+  backend here has no interpreter fallback);
+* **counters** — run under the null routing plan (every touch tallied,
+  no component machines), each Einsum's
+  :class:`~repro.model.traces.KernelCounters` must equal the aggregates
+  of the interpreter's ordered event stream, read for read,
+  intersection for intersection, stamp set for stamp set;
+* **metrics** — full :func:`repro.model.evaluate.evaluate` metrics
+  (traffic, cycles, energy, action counts, per-component times,
+  outputs) under ``metrics="auto"`` must be *bit-identical* to
+  ``metrics="trace"`` on the interpreter, for every spec — buffered
+  accelerators included.
+
+Every check runs at two vector-span thresholds (:data:`VLEAF_MINS`):
+``VLEAF_MIN = 0`` sends every eligible leaf down the batched numpy path
+(the hypothesis inputs are far below the production threshold), and the
+default keeps small spans on the kernel's scalar loop, so both branches
+of every vector leaf stay held to the interpreter.
 
 Inputs are hypothesis-generated, with a fixed profile (see
 ``tests/conftest.py``) so CI failures replay exactly.
 """
+
+from contextlib import contextmanager
 
 import hypothesis.strategies as st
 import numpy as np
@@ -55,14 +56,20 @@ from repro.spec import load_spec
 # spec compile exactly once.
 _CACHE = CompileCache()
 
+#: Vector-span thresholds every check runs at: 0 (batched numpy path on
+#: every eligible leaf) and the production default (scalar loop below it).
+VLEAF_MINS = (0, rt.VLEAF_MIN)
 
-@pytest.fixture(autouse=True)
-def force_vector_spans(monkeypatch):
-    """Pin the vector-span threshold to 0 so every eligible leaf takes
-    the batched numpy path — hypothesis inputs are far below the
-    production threshold, and an always-scalar fallback would make the
-    vector assertions vacuous."""
-    monkeypatch.setattr(rt, "VLEAF_MIN", 0)
+
+@contextmanager
+def vleaf_min(value):
+    """Pin the vector kernels' span threshold for the enclosed runs."""
+    saved = rt.VLEAF_MIN
+    rt.VLEAF_MIN = value
+    try:
+        yield
+    finally:
+        rt.VLEAF_MIN = saved
 
 
 class StreamSink(TraceSink):
@@ -91,19 +98,6 @@ class StreamSink(TraceSink):
 
     def swizzle(self, tensor, n, side):
         self.events.append(("swizzle", tensor, n, side))
-
-
-def traffic_counts(events):
-    """Trace-derived traffic: per-(tensor, kind) read/write tallies."""
-    reads, writes = {}, {}
-    for ev in events:
-        if ev[0] == "read":
-            key = (ev[1], ev[3])
-            reads[key] = reads.get(key, 0) + 1
-        elif ev[0] == "write":
-            key = (ev[1], ev[3])
-            writes[key] = writes.get(key, 0) + 1
-    return reads, writes
 
 
 def stream_aggregates(events):
@@ -145,12 +139,12 @@ def stream_aggregates(events):
 
 
 def assert_counters_match_stream(spec, tensors, events):
-    """Counter-fused kernels must aggregate the traced stream exactly."""
+    """The vector kernels' counters, under the null routing plan, must
+    aggregate the interpreter's event stream exactly."""
     counters = {}
-    backend = CompiledBackend(cache=_CACHE)
-    backend.run_cascade_counted(
+    CompiledBackend(cache=_CACHE).run_cascade_fused(
         spec, {k: t.copy() for k, t in tensors.items()},
-        on_counters=lambda name, kc: counters.setdefault(name, kc),
+        on_fused=lambda name, kc, fm: counters.setdefault(name, kc),
     )
     expected = stream_aggregates(events)
     assert set(counters) == set(expected)
@@ -188,61 +182,33 @@ def metrics_fingerprint(result):
     }
 
 
-def assert_metrics_paths_agree(spec, tensors):
-    """Traced-interpreter, traced-compiled, counter-fused, model-fused,
-    vector, and auto metrics must be bit-identical (the 4-way kernel
-    conformance check: interpreter / counted / fused / vector, plus the
-    dispatcher)."""
-    backend = CompiledBackend(cache=_CACHE)
+def assert_backends_agree(spec, tensors):
+    """Hold the vector kernels to the interpreter: outputs, counters
+    against the ordered event stream, and full metrics, at every
+    :data:`VLEAF_MINS` threshold."""
+    sink = StreamSink()
+    env_i = InterpreterBackend().run_cascade(
+        spec, {k: t.copy() for k, t in tensors.items()}, sink=sink
+    )
     reference = metrics_fingerprint(evaluate(
         spec, {k: t.copy() for k, t in tensors.items()},
         backend=InterpreterBackend(), metrics="trace",
     ))
-    for metrics in ("trace", "counters", "fused", "vector", "auto"):
-        got = metrics_fingerprint(evaluate(
-            spec, {k: t.copy() for k, t in tensors.items()},
-            backend=backend, metrics=metrics,
-        ))
-        assert got == reference, f"metrics={metrics} diverges"
-
-
-def assert_backends_agree(spec, tensors):
-    """Run every engine; outputs, event streams, and counters must agree."""
-    interp_sink, compiled_sink = StreamSink(), StreamSink()
-    env_i = InterpreterBackend().run_cascade(
-        spec, {k: t.copy() for k, t in tensors.items()}, sink=interp_sink
-    )
-    env_c = CompiledBackend(cache=_CACHE).run_cascade(
-        spec, {k: t.copy() for k, t in tensors.items()}, sink=compiled_sink
-    )
-    for name in spec.einsum.cascade.produced:
-        assert env_i[name].points() == env_c[name].points(), name
-    assert traffic_counts(interp_sink.events) == \
-        traffic_counts(compiled_sink.events)
-    if interp_sink.events != compiled_sink.events:
-        for k, (a, b) in enumerate(zip(interp_sink.events,
-                                       compiled_sink.events)):
-            assert a == b, f"event {k}: interpreter {a} != compiled {b}"
-        assert len(interp_sink.events) == len(compiled_sink.events)
-
-    # Untraced paths: object kernels and arena-native flat kernels must
-    # reproduce the same outputs — and the flat kernels must really
-    # exist for these specs (no silent fallback).
-    for unit in _CACHE.get(spec).units:
-        assert unit.flat_or_none() is not None, \
-            f"{unit.ir.name}: flat kernel failed to compile"
-    env_o = CompiledBackend(cache=_CACHE, kernel_flavor="object").run_cascade(
-        spec, {k: t.copy() for k, t in tensors.items()}
-    )
-    env_f = CompiledBackend(cache=_CACHE, kernel_flavor="flat").run_cascade(
-        spec, {k: t.copy() for k, t in tensors.items()}
-    )
-    for name in spec.einsum.cascade.produced:
-        assert env_i[name].points() == env_o[name].points(), name
-        assert env_i[name].points() == env_f[name].points(), name
-
-    assert_counters_match_stream(spec, tensors, interp_sink.events)
-    assert_metrics_paths_agree(spec, tensors)
+    backend = CompiledBackend(cache=_CACHE)
+    for threshold in VLEAF_MINS:
+        with vleaf_min(threshold):
+            env_v = backend.run_cascade(
+                spec, {k: t.copy() for k, t in tensors.items()}
+            )
+            for name in spec.einsum.cascade.produced:
+                assert env_i[name].points() == env_v[name].points(), name
+            assert_counters_match_stream(spec, tensors, sink.events)
+            got = metrics_fingerprint(evaluate(
+                spec, {k: t.copy() for k, t in tensors.items()},
+                backend=backend, metrics="auto",
+            ))
+            assert got == reference, \
+                f"metrics='auto' diverges at VLEAF_MIN={threshold}"
 
 
 def sparse_matrix(rng, rows, cols, density):

@@ -436,8 +436,8 @@ class TestAnalyticalSearch:
                         prune_to=4, prune_metrics="analytical")
         (cand_s, res_s), (cand_p, res_p) = exhaustive.best(), pruned.best()
         assert cand_s == cand_p
-        # Survivors were re-priced with the traced reference, so the
-        # winning metrics are bit-identical, not just close.
+        # Survivors were re-priced exactly, so the winning metrics are
+        # bit-identical, not just close.
         assert res_s.exec_seconds == res_p.exec_seconds
         assert res_s.traffic_bytes() == res_p.traffic_bytes()
         assert pruned.n_priced == 4
@@ -446,8 +446,8 @@ class TestAnalyticalSearch:
     def test_phase2_always_reprices_for_analytical(self):
         from repro.search import search
 
-        # A sink-less spec: counters-priceable, so "auto"/"counters-only"
-        # phase 1 skips re-pricing — the analytical surrogate must not.
+        # A sink-less spec: an "auto" phase 1 is exact and skips
+        # re-pricing — the analytical surrogate must not.
         spec = load_spec(SPEC_PLAIN, name="anl-plain-search")
         tensors = {
             "A": uniform_random("A", ["K", "M"], (48, 40), 0.25, seed=1),

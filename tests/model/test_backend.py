@@ -51,7 +51,7 @@ class TestCacheHits:
         second = cache.get(spec)
         assert first is second
         assert cache.hits == 1 and cache.misses == 1
-        assert second.units[0].fast is first.units[0].fast
+        assert second.units[0].vector is first.units[0].vector
 
     def test_equal_specs_from_separate_loads_share_kernels(self):
         cache = CompileCache()

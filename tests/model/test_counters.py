@@ -1,8 +1,8 @@
-"""Counter-fused metrics (``evaluate(metrics="counters")``) and the flat
-untraced backend path.
+"""Counter pricing through the vector kernels (``metrics="auto"``) and
+the untraced compiled backend path.
 
-Counter pricing is only offered where it is *exact* — specs that bind no
-buffers/caches — so every assertion here is strict equality against the
+The vector kernels tally the aggregates of the trace-event stream, so
+every assertion here is strict equality against the interpreter's
 traced evaluation, not a tolerance band.
 """
 
@@ -14,7 +14,7 @@ from repro.fibertree import tensor_from_dense
 from repro.model import (
     CompileCache,
     CompiledBackend,
-    counters_priceable,
+    InterpreterBackend,
     default_workers,
     evaluate,
     evaluate_many,
@@ -90,28 +90,35 @@ def assert_results_equal(a, b):
         assert a.env[name].points() == b.env[name].points()
 
 
+def traced(spec, work):
+    """The reference: the interpreter streaming events to the models."""
+    return evaluate(spec, dict(work), backend=InterpreterBackend(),
+                    metrics="trace")
+
+
 @pytest.mark.parametrize("spec_yaml", [MATMUL, SPLIT, ISECT_BOUND])
 def test_counter_pricing_equals_traced(spec_yaml):
     spec = load_spec(spec_yaml, name="ctr")
-    assert counters_priceable(spec)
     backend = CompiledBackend(cache=CompileCache())
     work = tensors()
-    traced = evaluate(spec, dict(work), backend=backend)
-    counted = evaluate(spec, dict(work), backend=backend,
-                       metrics="counters")
-    assert_results_equal(traced, counted)
+    counted = evaluate(spec, dict(work), backend=backend, metrics="auto")
+    assert_results_equal(traced(spec, work), counted)
 
 
 def test_buffered_specs_fall_back_to_trace():
+    """Buffered specs price exactly on ``auto`` too (the buffets run as
+    inlined machines), and a compiled backend asked for ``trace`` runs
+    the interpreter: all three agree."""
     spec = accelerator("gamma")
-    assert not counters_priceable(spec)
     backend = CompiledBackend(cache=CompileCache())
     work = tensors(seed=3)
-    traced = evaluate(spec, dict(work), backend=backend)
-    counted = evaluate(spec, dict(work), backend=backend,
-                       metrics="counters")
-    # Fallback must be silent and results identical to the traced path.
-    assert_results_equal(traced, counted)
+    reference = traced(spec, work)
+    assert_results_equal(reference, evaluate(spec, dict(work),
+                                             backend=backend,
+                                             metrics="trace"))
+    assert_results_equal(reference, evaluate(spec, dict(work),
+                                             backend=backend,
+                                             metrics="auto"))
 
 
 def test_unknown_metrics_mode_rejected():
@@ -143,47 +150,32 @@ binding:
 
 
 def test_priceability_rekeys_after_binding_mutation():
-    """The memo must never serve a stale answer for a spec whose
+    """Kernels are shared across bindings (the compile cache keys only
+    the lowering layers), so the routing must follow a spec whose
     bindings were mutated in place after a first evaluation."""
     spec = load_spec(ONE_BUFFER, name="mutate-binding")
     backend = CompiledBackend(cache=CompileCache())
-    assert not counters_priceable(spec)
-    before = evaluate(spec, tensors(seed=1), backend=backend,
-                      metrics="counters")  # exercises the memo + fallback
+    before = evaluate(spec, tensors(seed=1), backend=backend)
     # Strip every data binding: the spec is now unbuffered.
     for eb in spec.binding.einsums.values():
         eb.data.clear()
-    assert counters_priceable(spec)
-    after = evaluate(spec, tensors(seed=1), backend=backend,
-                     metrics="counters")
-    traced_after = evaluate(spec, tensors(seed=1), backend=backend)
-    assert_results_equal(after, traced_after)
+    after = evaluate(spec, tensors(seed=1), backend=backend)
+    assert_results_equal(after, traced(spec, tensors(seed=1)))
     # The buffered evaluation really was different (the buffet changed
-    # DRAM traffic), so the two memo answers describe different specs.
+    # DRAM traffic), so the two answers describe different specs.
     assert before.traffic_bytes() != after.traffic_bytes()
 
 
 def test_priceability_rekeys_after_architecture_mutation():
-    """Mutating the architecture in place (Buffer -> DRAM class) flips
-    priceability; the memo must follow the content, not the object."""
+    """Mutating the architecture in place (Buffer -> DRAM class) drops
+    the buffet; the routing must follow the content, not the object."""
     spec = load_spec(ONE_BUFFER, name="mutate-arch")
-    assert not counters_priceable(spec)
+    backend = CompiledBackend(cache=CompileCache())
+    before = evaluate(spec, tensors(seed=1), backend=backend)
     spec.architecture.topologies["Main"].components["ABuf"].klass = "DRAM"
-    assert counters_priceable(spec)
-
-
-def test_priceability_key_ignores_mapping_and_shapes():
-    """Shape/mapping variants of one accelerator share the memo entry
-    (they cannot change whether a binding lands on a buffer)."""
-    from repro.model.evaluate import _priceable_key
-
-    a = load_spec(ONE_BUFFER, name="k1")
-    b = load_spec(ONE_BUFFER.replace(
-        "uniform_occupancy(A.6)", "uniform_occupancy(A.3)"), name="k2")
-    assert _priceable_key(a) == _priceable_key(b)
-    c = load_spec(ONE_BUFFER.replace("evict-on: K1", "evict-on: M"),
-                  name="k3")
-    assert _priceable_key(a) != _priceable_key(c)
+    after = evaluate(spec, tensors(seed=1), backend=backend)
+    assert_results_equal(after, traced(spec, tensors(seed=1)))
+    assert before.traffic_bytes() != after.traffic_bytes()
 
 
 def test_evaluate_many_counters_and_workers():
@@ -191,10 +183,10 @@ def test_evaluate_many_counters_and_workers():
     backend = CompiledBackend(cache=CompileCache())
     workloads = [tensors(seed=i) for i in range(5)]
     sequential = evaluate_many(spec, [dict(w) for w in workloads],
-                               backend=backend, workers=1)
+                               backend=InterpreterBackend(), workers=1,
+                               metrics="trace")
     threaded = evaluate_many(spec, [dict(w) for w in workloads],
-                             backend=backend, workers=4,
-                             metrics="counters")
+                             backend=backend, workers=4)
     for a, b in zip(sequential, threaded):
         assert_results_equal(a, b)
 
@@ -232,18 +224,20 @@ def test_default_workers_rejects_zero_and_negative_env(monkeypatch):
 
 
 def test_flat_and_object_flavors_agree_untraced():
+    """An untraced compiled run (the vector kernel under the null routing
+    plan) reproduces the interpreter's outputs, with no fallback."""
     spec = load_spec(SPLIT, name="flavors")
-    cache = CompileCache()
     work = tensors(seed=9)
-    env_o = CompiledBackend(cache=cache, kernel_flavor="object") \
-        .run_cascade(spec, dict(work))
-    env_f = CompiledBackend(cache=cache, kernel_flavor="flat") \
-        .run_cascade(spec, dict(work))
-    assert env_o["Z"].points() == env_f["Z"].points()
-    # The flat kernel genuinely compiled (not a silent object fallback).
-    assert cache.get(spec).units[0].flat_or_none() is not None
+    env_i = InterpreterBackend().run_cascade(spec, dict(work))
+    env_v = CompiledBackend(cache=CompileCache()).run_cascade(spec,
+                                                              dict(work))
+    assert env_i["Z"].points() == env_v["Z"].points()
 
 
 def test_bad_kernel_flavor_rejected():
-    with pytest.raises(ValueError, match="kernel_flavor"):
-        CompiledBackend(kernel_flavor="turbo")
+    """The retired kernel-flavor metrics modes are rejected by name,
+    listing the three that remain."""
+    for mode in ("counters", "counters-only", "fused", "vector"):
+        with pytest.raises(ValueError,
+                           match="'auto', 'trace', 'analytical'"):
+            evaluate(load_spec(MATMUL), tensors(), metrics=mode)

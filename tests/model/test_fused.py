@@ -1,9 +1,9 @@
-"""Model-fused metrics (``evaluate(metrics="fused")``): the fast path for
-buffered/cached specs.
+"""Model-fused pricing of buffered/cached specs (``evaluate(metrics=
+"auto")``, the vector kernels).
 
-The fused kernels inline :class:`~repro.model.components.BuffetModel` /
+The vector kernels inline :class:`~repro.model.components.BuffetModel` /
 :class:`~repro.model.components.CacheModel` state machines into the
-generated arena loops, so — unlike counter fusion — they price specs that
+generated arena loops, so — unlike bare counters — they price specs that
 bind buffers exactly.  Every assertion here is strict equality against
 the traced evaluation: the fused path is exact by construction, and these
 tests pin that down on the edge cases (capacity-1 and zero-capacity
@@ -121,7 +121,7 @@ def assert_fused_exact(spec, work):
     traced = evaluate(spec, {k: t.copy() for k, t in work.items()},
                       backend=backend, metrics="trace")
     fused = evaluate(spec, {k: t.copy() for k, t in work.items()},
-                     backend=backend, metrics="fused")
+                     backend=backend, metrics="auto")
     assert fingerprint(fused) == fingerprint(traced)
     return traced, fused
 
@@ -153,9 +153,9 @@ def test_fused_falls_back_on_interpreter_backend():
     work = tensors(seed=3)
     compiled = evaluate(spec, dict(work),
                         backend=CompiledBackend(cache=_CACHE),
-                        metrics="fused")
+                        metrics="auto")
     interp = evaluate(spec, dict(work), backend=InterpreterBackend(),
-                      metrics="fused")
+                      metrics="auto")
     assert fingerprint(interp) == fingerprint(compiled)
 
 
@@ -166,7 +166,7 @@ def test_fused_evaluate_many_threads():
     sequential = evaluate_many(spec, [dict(w) for w in workloads],
                                backend=backend, workers=1, metrics="trace")
     threaded = evaluate_many(spec, [dict(w) for w in workloads],
-                             backend=backend, workers=4, metrics="fused")
+                             backend=backend, workers=4, metrics="auto")
     for a, b in zip(sequential, threaded):
         assert fingerprint(a) == fingerprint(b)
 
@@ -335,8 +335,8 @@ def test_fused_kernel_counters_record_component_actions():
 
 
 def test_run_cascade_fused_without_machines_degrades_to_counters():
-    """No routing plan: every touch lands on the fused counters and the
-    outputs still match the plain untraced run."""
+    """No routing plan: every touch lands on the counters and the
+    outputs still match the interpreter's."""
     spec = load_spec(buffered_matmul(B_CACHED), name="null-routing")
     backend = CompiledBackend(cache=_CACHE)
     work = tensors(seed=9)
@@ -348,7 +348,7 @@ def test_run_cascade_fused_without_machines_degrades_to_counters():
     kc = recorded["Z"]
     assert kc.actions == []  # no machines were ever built
     assert sum(kc.reads.values()) > 0
-    plain = backend.run_cascade(spec, dict(work))
+    plain = InterpreterBackend().run_cascade(spec, dict(work))
     assert env["Z"].points() == plain["Z"].points()
 
 
@@ -584,7 +584,7 @@ def test_fused_golden_metrics(name):
     spec = accelerator(name)
     backend = CompiledBackend(cache=_CACHE)
     result = evaluate(spec, golden_workload(), backend=backend,
-                      metrics="fused")
+                      metrics="auto")
     golden = GOLDEN[name]
     assert result.traffic_bytes() == golden["traffic_bytes"]
     assert result.exec_cycles == golden["exec_cycles"]

@@ -1,11 +1,12 @@
-"""Conformance tests for the vector kernel flavor.
+"""Conformance tests for the vector kernels (``metrics="auto"``).
 
 The vector kernels price whole innermost-rank spans with batched numpy
-primitives.  Their contract is *bit-identity* with the scalar
-counted/fused kernels (and therefore with the traced interpreter): same
-outputs, same counters, same component-machine tallies, same metrics —
-whichever per-span path (batched or scalar fallback) ran.  These tests
-pin ``VLEAF_MIN`` to 0 so the batched path engages on small inputs, and
+primitives.  Their contract is *bit-identity* with the traced
+interpreter: same outputs, same counters, same component-machine
+tallies, same metrics — whichever per-span path (batched or the scalar
+fallback loop) ran.  These tests pin ``VLEAF_MIN`` to 0 so the batched
+path engages on small inputs, check the differential cases at the
+default threshold too (small spans then take the scalar loop), and
 separately confirm that the batched path *actually* runs (a silent
 always-fallback would make every other assertion vacuous).
 """
@@ -137,18 +138,25 @@ def fingerprint(result):
     }
 
 
+#: The production span threshold, before the autouse fixture pins it.
+DEFAULT_VLEAF_MIN = rt.VLEAF_MIN
+
+
 def assert_vector_matches_reference(spec, tensors):
+    """``auto`` equals the traced interpreter with every eligible span
+    batched (``VLEAF_MIN`` 0) and at the default threshold."""
     backend = CompiledBackend(cache=_CACHE)
     reference = fingerprint(evaluate(
         spec, {k: t.copy() for k, t in tensors.items()},
         backend=InterpreterBackend(), metrics="trace",
     ))
-    for metrics in ("fused", "vector", "auto"):
+    for threshold in (0, DEFAULT_VLEAF_MIN):
+        rt.VLEAF_MIN = threshold  # the autouse fixture restores it
         got = fingerprint(evaluate(
             spec, {k: t.copy() for k, t in tensors.items()},
-            backend=backend, metrics=metrics,
+            backend=backend, metrics="auto",
         ))
-        assert got == reference, f"metrics={metrics} diverges"
+        assert got == reference, f"VLEAF_MIN={threshold} diverges"
 
 
 # ----------------------------------------------------------------------
@@ -254,7 +262,7 @@ def test_float_accumulation_is_bitwise_sequential():
     ref = evaluate(spec, {k_: t.copy() for k_, t in tensors.items()},
                    backend=InterpreterBackend(), metrics="trace")
     got = evaluate(spec, {k_: t.copy() for k_, t in tensors.items()},
-                   backend=backend, metrics="vector")
+                   backend=backend, metrics="auto")
     assert got.env["Z"].points() == ref.env["Z"].points()
 
 
@@ -262,7 +270,7 @@ def test_float_accumulation_is_bitwise_sequential():
 # Engagement and gating
 # ----------------------------------------------------------------------
 def test_batched_path_actually_runs(monkeypatch):
-    """Guard against a silently always-scalar vector flavor."""
+    """Guard against silently always-scalar vector kernels."""
     calls = {"n": 0}
     real = rt.visect2
 
@@ -277,7 +285,7 @@ def test_batched_path_actually_runs(monkeypatch):
         "B": tensor_from_dense("B", ["N", "K"], matrix(rng, 4, 30, 0.5)),
     }
     evaluate(load_spec(SPMSPM, name="vec-engage"), tensors,
-             backend=CompiledBackend(cache=_CACHE), metrics="vector")
+             backend=CompiledBackend(cache=_CACHE), metrics="auto")
     assert calls["n"] > 0
 
 
@@ -299,7 +307,7 @@ def test_span_threshold_keeps_small_leaves_scalar(monkeypatch):
     spec = load_spec(SPMSPM, name="vec-threshold")
     backend = CompiledBackend(cache=_CACHE)
     got = evaluate(spec, {k: t.copy() for k, t in tensors.items()},
-                   backend=backend, metrics="vector")
+                   backend=backend, metrics="auto")
     assert calls["n"] == 0  # every leaf took the scalar fallback
     ref = evaluate(spec, {k: t.copy() for k, t in tensors.items()},
                    backend=InterpreterBackend(), metrics="trace")
@@ -322,7 +330,7 @@ def test_non_elementwise_opsets_stay_scalar_and_exact():
                    backend=InterpreterBackend(), metrics="trace",
                    opset=MIN_PLUS)
     got = evaluate(spec, {k: t.copy() for k, t in tensors.items()},
-                   backend=backend, metrics="vector", opset=MIN_PLUS)
+                   backend=backend, metrics="auto", opset=MIN_PLUS)
     assert fingerprint(got) == fingerprint(ref)
 
 

@@ -1,12 +1,12 @@
 """Search-runner behavior: parallel/serial equivalence, two-phase
-pruning, executor strictness, cascade sweeps, and the explore shim."""
+pruning, executor strictness, cascade sweeps, and the serial explore
+entry point."""
 
 import pytest
 
 from repro.model import PrepCache, ProcessExecutorError
 from repro.search import (
     BeamSearch,
-    CHEAP_METRICS,
     SearchResult,
     explore,
     explore_cascade,
@@ -115,7 +115,7 @@ class TestParallelSerialEquivalence:
 
 class TestTwoPhasePruning:
     def test_pruned_topk_contains_exhaustive_best(self, tensors):
-        """The default (exact) surrogate provably keeps the best: the
+        """The default (exact) phase-1 mode provably keeps the best: the
         pruned search's winner must equal the exhaustive winner, with
         bit-identical full metrics."""
         spec = load_spec(BUFFERED)
@@ -134,15 +134,15 @@ class TestTwoPhasePruning:
     def test_pruning_reprices_only_topk_on_buffered_specs(self, tensors):
         spec = load_spec(BUFFERED)
         result = search(spec, tensors, tile_sizes={"K": [8]}, prune_to=3,
-                        workers=1)
+                        prune_metrics="analytical", workers=1)
         assert result.n_scored == 12
         assert result.n_priced == 3
         assert result.stats["n_repriced"] == 3
         assert result.pruned_to == 3
 
     def test_pruning_skips_phase2_without_buffers(self, tensors):
-        """On sink-less specs the cheap pass is exact, so nothing is
-        re-priced and the survivors keep their phase-1 results."""
+        """The default phase-1 mode is exact, so nothing is re-priced
+        and the survivors keep their phase-1 results."""
         spec = load_spec(BASE)
         result = search(spec, tensors, prune_to=2, workers=1)
         assert result.stats["n_repriced"] == 0
@@ -150,17 +150,35 @@ class TestTwoPhasePruning:
         full = search(spec, tensors, workers=1)
         assert result.best()[0] == full.best()[0]
 
-    def test_counters_only_surrogate_runs_and_prices_exactly(self, tensors):
-        """The approximate surrogate still yields exact survivor metrics
-        (phase 2 re-prices with the traced reference)."""
+    def test_exact_phase1_skips_phase2_on_buffered_specs(self, tensors):
+        """Buffers do not change that: the vector kernels price them
+        exactly, so survivors keep results equal to the trace's."""
         spec = load_spec(BUFFERED)
-        result = search(spec, tensors, prune_to=6,
-                        prune_metrics=CHEAP_METRICS, workers=1)
+        result = search(spec, tensors, prune_to=3, workers=1)
+        assert result.stats["n_repriced"] == 0
         reference = search(spec, tensors, workers=1, metrics="trace")
         exact = {c: r for c, r in reference.candidates}
         for cand, res in result.candidates:
             assert res.exec_seconds == exact[cand].exec_seconds
             assert res.traffic_bytes() == exact[cand].traffic_bytes()
+
+    def test_analytical_surrogate_survivors_priced_exactly(self, tensors):
+        """The approximate surrogate still yields exact survivor metrics
+        (phase 2 re-prices them with the vector kernels)."""
+        spec = load_spec(BUFFERED)
+        result = search(spec, tensors, prune_to=4,
+                        prune_metrics="analytical", workers=1)
+        assert result.stats["n_repriced"] == 4
+        reference = search(spec, tensors, workers=1, metrics="trace")
+        exact = {c: r for c, r in reference.candidates}
+        for cand, res in result.candidates:
+            assert res.exec_seconds == exact[cand].exec_seconds
+            assert res.traffic_bytes() == exact[cand].traffic_bytes()
+
+    def test_retired_prune_metrics_rejected(self, tensors):
+        with pytest.raises(ValueError, match="'auto', 'analytical'"):
+            search(load_spec(BASE), tensors, prune_to=2,
+                   prune_metrics="counters-only")
 
     def test_scores_record_every_proposal(self, tensors):
         spec = load_spec(BUFFERED)
@@ -308,9 +326,15 @@ class TestExploreCascade:
 
 class TestExploreShim:
     def test_explore_importable_from_both_homes(self):
-        from repro.explore import explore as legacy
+        """``explore`` lives in the search runner and is re-exported by
+        the package; the old top-level ``repro.explore`` module is gone."""
+        import importlib
+
         from repro.search import explore as canonical
-        assert legacy is canonical
+        from repro.search.runner import explore as home
+        assert home is canonical
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.explore")
 
     def test_explore_is_serial_exhaustive(self, tensors):
         result = explore(load_spec(BASE), tensors, max_loop_orders=3)

@@ -309,17 +309,19 @@ class TestKillAndResume:
 
     def test_pruned_sweep_resumes_phase2_bit_identically(self, plan,
                                                          tensors, tmp_path):
+        # Phase 2 runs only behind the approximate analytical surrogate.
         spec = load_spec(BUFFERED)
-        baseline = search(spec, tensors, workers=1, prune_to=2)
+        kwargs = dict(workers=1, prune_to=2, prune_metrics="analytical")
+        baseline = search(spec, tensors, **kwargs)
         path = str(tmp_path / "sweep")
-        full = search(spec, tensors, workers=1, prune_to=2, journal=path)
+        full = search(spec, tensors, journal=path, **kwargs)
         assert len(full.candidates) == 2
         # Tear mid-way through phase 2: all 6 phase-1 records survive,
         # the phase-2 records are lost.
         self._truncate(path, keep_lines=6)
 
         rule = plan.add("accelerator", "count")
-        resumed = search(spec, tensors, workers=1, prune_to=2, resume=path)
+        resumed = search(spec, tensors, resume=path, **kwargs)
         assert resumed.stats["n_adopted"] == 6  # all of phase 1 adopted
         assert plan.fired(rule) == 2            # only phase 2 re-priced
         assert _fingerprints(resumed) == _fingerprints(baseline)

@@ -90,13 +90,20 @@ class TestEvaluateThroughCache:
         ref = evaluate(spec, tensors)  # never saw the cache
         assert metrics_fingerprint(ref) == metrics_fingerprint(cold)
 
-    def test_metrics_modes_key_separately(self, tensors, cache_dir):
-        spec = load_spec(BASE)
+    def test_auto_result_hits_for_later_trace(self, tensors, cache_dir):
+        """Both cached modes are exact, so they share one key: an
+        ``auto`` result serves a later ``trace`` request (equal
+        fingerprint) without evaluating again."""
+        spec = load_spec(BUFFERED)
         store = PersistentStore(cache_dir)
-        evaluate(spec, tensors, cache=store)
-        evaluate(spec, tensors, metrics="counters", cache=store)
-        assert store.stats.hits == 0
-        assert store.stats.puts == 2
+        cold = evaluate(spec, tensors, metrics="auto", cache=store)
+        warm = evaluate(spec, tensors, metrics="trace", cache=store)
+        assert store.stats.puts == 1
+        assert store.stats.hits == 1
+        reference = evaluate(spec, tensors, metrics="trace",
+                             backend="interpreter")
+        assert metrics_fingerprint(warm) == metrics_fingerprint(cold) \
+            == metrics_fingerprint(reference)
 
     def test_analytical_tier_never_touches_disk(self, tensors, cache_dir):
         spec = load_spec(BASE)
@@ -177,11 +184,14 @@ class TestSearchThroughCache:
         assert store.stats.hits == len(ref.candidates)
 
     def test_pruned_sweep_caches_both_phases(self, tensors, cache_dir):
+        """Phase 1 prices analytically (never cached); the phase-2
+        re-pricing goes through the store."""
         spec = load_spec(BASE)
-        ref = search(spec, tensors, workers=1, prune_to=2)
-        search(spec, tensors, workers=1, prune_to=2, cache=cache_dir)
+        kwargs = dict(workers=1, prune_to=2, prune_metrics="analytical")
+        ref = search(spec, tensors, **kwargs)
+        search(spec, tensors, cache=cache_dir, **kwargs)
         store = PersistentStore(cache_dir)
-        warm = search(spec, tensors, workers=1, prune_to=2, cache=store)
+        warm = search(spec, tensors, cache=store, **kwargs)
         fp = lambda r: [(c, metrics_fingerprint(res))
                         for c, res in r.candidates]
         assert fp(warm) == fp(ref)

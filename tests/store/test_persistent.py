@@ -284,22 +284,21 @@ einsum:
         a1 = uniform_random("A", ["K", "M"], (8, 8), 0.5, seed=1)
         a2 = uniform_random("A", ["K", "M"], (8, 8), 0.5, seed=1)
         a3 = uniform_random("A", ["K", "M"], (8, 8), 0.5, seed=2)
-        k1 = store.result_key(spec, {"A": a1}, "auto", "arithmetic", None)
-        k2 = store.result_key(spec, {"A": a2}, "auto", "arithmetic", None)
-        k3 = store.result_key(spec, {"A": a3}, "auto", "arithmetic", None)
+        k1 = store.result_key(spec, {"A": a1}, "arithmetic", None)
+        k2 = store.result_key(spec, {"A": a2}, "arithmetic", None)
+        k3 = store.result_key(spec, {"A": a3}, "arithmetic", None)
         # Same contents (different objects) share a key; different
         # contents with identical structure (shape/nnz regime) do not.
         assert k1 == k2
         assert k1 != k3
 
-    def test_key_covers_metrics_mode_and_shapes(self, store, spec):
+    def test_key_covers_opset_and_shapes(self, store, spec):
         from repro.workloads import uniform_random
 
         a = uniform_random("A", ["K", "M"], (8, 8), 0.5, seed=1)
-        base = store.result_key(spec, {"A": a}, "auto", "arithmetic", None)
-        assert store.result_key(spec, {"A": a}, "counters-only",
-                                "arithmetic", None) != base
-        assert store.result_key(spec, {"A": a}, "auto", "arithmetic",
+        base = store.result_key(spec, {"A": a}, "arithmetic", None)
+        assert store.result_key(spec, {"A": a}, "min-plus", None) != base
+        assert store.result_key(spec, {"A": a}, "arithmetic",
                                 {"K": 32}) != base
 
     def test_kernel_round_trip(self, store, spec):
