@@ -227,9 +227,9 @@ N_BUFFERED_WORKLOADS = 8
 NNZ_SIZES = (10_000, 100_000, 1_000_000)
 TRAJECTORY = os.path.join(os.path.dirname(__file__), "BENCH_backend.json")
 
-ALL_FLAVORS = ("interpreter", "compiled", "vector", "buffered", "executor",
-               "search", "analytical", "analytical-accuracy", "supervised",
-               "store", "lint")
+ALL_FLAVORS = ("interpreter", "compiled", "vector", "buffered", "search",
+               "analytical", "analytical-accuracy", "supervised", "store",
+               "lint")
 
 #: The scaled-down accelerator configs the analytical tier is
 #: cross-validated against (mirrors ``tests/model/test_analytical.py``).
@@ -293,9 +293,6 @@ def run_comparison(n: int = N_WORKLOADS, flavors=None):
       batched leaves (the >=3x claim);
     * ``buffered_*`` — the buffered spec through the interpreter and the
       vector kernels;
-    * ``executor_thread`` / ``executor_process`` — the long-span sweep
-      through both ``evaluate_many`` pool types (the measurement behind
-      the thread default);
     * ``acand_auto`` / ``acand_analytical`` — the search space's
       candidates priced one-by-one through the vector kernels and the
       statistics tier (the >=100x claim).
@@ -337,8 +334,8 @@ def run_comparison(n: int = N_WORKLOADS, flavors=None):
     del interp_results, compiled_results
     gc.collect()
 
-    if "vector" in flavors or "executor" in flavors:
-        timings.update(_run_vector_sweep(n, flavors))
+    if "vector" in flavors:
+        timings.update(_run_vector_sweep(n))
     if "buffered" in flavors:
         timings.update(_run_buffered(n, interp))
     if "search" in flavors:
@@ -356,10 +353,9 @@ def run_comparison(n: int = N_WORKLOADS, flavors=None):
     return timings
 
 
-def _run_vector_sweep(n: int, flavors) -> dict:
+def _run_vector_sweep(n: int) -> dict:
     """The long-span sweep: the vector kernels with batched leaves vs
-    held on their scalar leaf loop (the >=3x claim), plus the
-    evaluate_many pool-type measurement."""
+    held on their scalar leaf loop (the >=3x claim)."""
     import repro.ir.codegen_runtime as rt
 
     spec = load_spec(SPEC_VECTOR, name="vector-sweep")
@@ -368,44 +364,31 @@ def _run_vector_sweep(n: int, flavors) -> dict:
     backend.compile(spec)
     timings = {}
 
-    if "vector" in flavors:
-        gc.collect()
-        vleaf_min = rt.VLEAF_MIN
-        rt.VLEAF_MIN = float("inf")  # every span takes the scalar loop
-        try:
-            t0 = time.perf_counter()
-            scalar_results = evaluate_many(
-                spec, [dict(w) for w in workloads], backend=backend,
-                metrics="auto")
-            timings["vspan_scalar"] = time.perf_counter() - t0
-        finally:
-            rt.VLEAF_MIN = vleaf_min
-
+    gc.collect()
+    vleaf_min = rt.VLEAF_MIN
+    rt.VLEAF_MIN = float("inf")  # every span takes the scalar loop
+    try:
         t0 = time.perf_counter()
-        vector_results = evaluate_many(spec, [dict(w) for w in workloads],
-                                       backend=backend, metrics="auto")
-        timings["vspan_vector"] = time.perf_counter() - t0
+        scalar_results = evaluate_many(
+            spec, [dict(w) for w in workloads], backend=backend,
+            metrics="auto")
+        timings["vspan_scalar"] = time.perf_counter() - t0
+    finally:
+        rt.VLEAF_MIN = vleaf_min
 
-        for a, b in zip(scalar_results, vector_results):
-            assert a.env["Z"].points() == b.env["Z"].points()
-            assert a.traffic_bytes() == b.traffic_bytes()
-            assert a.exec_seconds == b.exec_seconds
-            assert a.energy_pj == b.energy_pj
-            assert a.action_counts() == b.action_counts()
-        del scalar_results, vector_results
-        gc.collect()
+    t0 = time.perf_counter()
+    vector_results = evaluate_many(spec, [dict(w) for w in workloads],
+                                   backend=backend, metrics="auto")
+    timings["vspan_vector"] = time.perf_counter() - t0
 
-    if "executor" in flavors:
-        # Thread-vs-process measurement behind default_executor()'s
-        # thread default (recorded in the JSON trajectory).
-        t0 = time.perf_counter()
-        evaluate_many(spec, [dict(w) for w in workloads],
-                      metrics="auto", executor="thread")
-        timings["executor_thread"] = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        evaluate_many(spec, [dict(w) for w in workloads],
-                      metrics="auto", executor="process")
-        timings["executor_process"] = time.perf_counter() - t0
+    for a, b in zip(scalar_results, vector_results):
+        assert a.env["Z"].points() == b.env["Z"].points()
+        assert a.traffic_bytes() == b.traffic_bytes()
+        assert a.exec_seconds == b.exec_seconds
+        assert a.energy_pj == b.energy_pj
+        assert a.action_counts() == b.action_counts()
+    del scalar_results, vector_results
+    gc.collect()
     return timings
 
 
@@ -952,14 +935,6 @@ def record_trajectory(timings: dict, n: int, path: str = TRAJECTORY,
                 / max(timings["search_warm_store"], 1e-12), 3),
             "hit_bit_identical": True,
         }
-    if "executor_thread" in timings and "executor_process" in timings:
-        record["executor"] = {
-            "thread_seconds": round(timings["executor_thread"], 6),
-            "process_seconds": round(timings["executor_process"], 6),
-            "default": "thread"
-            if timings["executor_thread"] <= timings["executor_process"]
-            else "process",
-        }
     if nnz_series:
         # A pure scaling-curve record: the per-row m/k geometry lives in
         # the series itself (density falls with size there, so the
@@ -1013,11 +988,6 @@ def _print_report(timings: dict, n: int) -> None:
         "buffered_interpreter", strip="buffered_",
     )
     series(
-        f"evaluate_many pool types, long-span sweep ({n} workloads)",
-        ["executor_thread", "executor_process"], "executor_thread",
-        strip="executor_",
-    )
-    series(
         f"Mapping search ({_search_n_candidates()} candidates, buffered "
         "spec), speedup vs serial exhaustive auto sweep",
         ["search_serial_exhaustive", "search_pruned"],
@@ -1059,9 +1029,7 @@ def _print_report(timings: dict, n: int) -> None:
 
 @pytest.mark.benchmark(group="backend")
 def test_backend_sweep_speedup(benchmark):
-    flavors = [f for f in ALL_FLAVORS if f != "executor"]
     timings = benchmark.pedantic(run_comparison, args=(N_WORKLOADS,),
-                                 kwargs={"flavors": flavors},
                                  rounds=1, iterations=1)
     _print_report(timings, N_WORKLOADS)
     # Plain test runs must not dirty the tracked perf-history file; the

@@ -102,8 +102,7 @@ class FlatArena:
     # ------------------------------------------------------------------
     # Pickling (__slots__ classes need explicit state; the memoized list
     # views are derived data and deliberately dropped — arenas pickle as
-    # compact numpy arrays, which is what makes process-pool evaluation
-    # workers affordable).
+    # compact numpy arrays, which keeps pickled copies small).
     # ------------------------------------------------------------------
     def __getstate__(self):
         return (self.depth, self.coords, self.segs, self.vals, self.ranges)

@@ -389,7 +389,7 @@ class CompiledBackend(Backend):
     Einsum's vector kernel under a null routing plan, so outputs come
     from the arena loops and the tallies are simply dropped.  Traced runs
     need the per-event stream only the interpreter produces, so they run
-    the interpreter; :meth:`run_cascade_fused` is how the compiled path
+    the interpreter; :meth:`run_vector` is how the compiled path
     prices (see :func:`repro.model.evaluate.evaluate`).  With
     ``fallback=True`` a mapping the code generator cannot express uses
     the interpreter for that spec instead of raising
@@ -412,7 +412,7 @@ class CompiledBackend(Backend):
                     sink=None, shapes=None, env=None, prep_cache=None):
         if sink is None:
             try:
-                return self.run_cascade_fused(
+                return self.run_vector(
                     spec, tensors, opset=opset, opsets=opsets, shapes=shapes,
                     env=env, prep_cache=prep_cache,
                 )
@@ -426,10 +426,9 @@ class CompiledBackend(Backend):
             shapes=shapes, env=env,
         )
 
-    def run_cascade_fused(self, spec, tensors, opset=ARITHMETIC,
-                          opsets=None, sink=None, shapes=None, env=None,
-                          make_machines=None, on_fused=None,
-                          prep_cache=None):
+    def run_vector(self, spec, tensors, opset=ARITHMETIC, opsets=None,
+                   sink=None, shapes=None, env=None, make_machines=None,
+                   on_priced=None, prep_cache=None):
         """Run the cascade through the vector kernels.
 
         No per-element trace events are emitted.  Each Einsum's kernel
@@ -438,7 +437,7 @@ class CompiledBackend(Backend):
         ``port(tensor, rank, kind)`` method — see
         :class:`repro.model.evaluate.FusedMachines`); without
         ``make_machines`` every touch routes to DRAM.  After the kernel
-        returns, ``on_fused(name, counters, machines)`` prices both the
+        returns, ``on_priced(name, counters, machines)`` prices both the
         aggregate :class:`~repro.model.traces.KernelCounters` and the
         machine tallies, right before ``einsum_end``.  ``sink``, when
         given, receives the per-Einsum brackets and the swizzle events
@@ -464,8 +463,8 @@ class CompiledBackend(Backend):
                               all_shapes, counters, machines)
             if sink and ir.output.needs_producer_swizzle:
                 sink.swizzle(out.name, out.nnz, side="producer")
-            if on_fused:
-                on_fused(ir.name, counters, machines)
+            if on_priced:
+                on_priced(ir.name, counters, machines)
             env[ir.name] = out.prune_empty()
             if sink:
                 sink.einsum_end(ir.name)

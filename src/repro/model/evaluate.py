@@ -56,28 +56,6 @@ class EnvVarError(ValueError):
     """
 
 
-class ProcessExecutorError(ValueError):
-    """An explicit ``executor="process"`` request cannot be honored.
-
-    The process pool ships work by pickle, so it only supports named
-    opsets with no per-Einsum overrides, the default energy model, and
-    the default backend.  When the *caller* asked for processes by
-    argument, hitting an unsupported combination raises this error
-    (naming every offending argument) rather than silently running on
-    threads; the env-var/default path downgrades to threads with an
-    :class:`ExecutorDowngradeWarning` instead.
-    """
-
-
-class ExecutorDowngradeWarning(RuntimeWarning):
-    """A process-pool request from ``REPRO_EVALUATE_EXECUTOR`` (or a
-    future process default) was downgraded to threads because the
-    arguments cannot cross a process boundary.  The warning names each
-    offending argument (via :func:`process_incompatibilities`); results
-    are unaffected — thread and process fan-out are bit-identical — but
-    kernel execution serializes on the GIL."""
-
-
 class StoreBypassWarning(RuntimeWarning):
     """A ``cache=`` request was bypassed because the arguments cannot be
     keyed durably (via :func:`cache_incompatibilities`, naming each
@@ -593,16 +571,16 @@ def _evaluate_vector(spec, tensors, opset, opsets, shapes, energy_model,
     def make_machines(name: str, ir) -> FusedMachines:
         return FusedMachines(sink, ir)
 
-    def on_fused(name: str, counters: KernelCounters,
-                 fm: FusedMachines) -> None:
+    def on_priced(name: str, counters: KernelCounters,
+                  fm: FusedMachines) -> None:
         _price_counters(sink, counters)
         fm.settle(counters)
 
     try:
-        engine.run_cascade_fused(
+        engine.run_vector(
             spec, tensors, opset=opset, opsets=opsets, sink=sink,
             shapes=shapes, env=env, make_machines=make_machines,
-            on_fused=on_fused, prep_cache=prep_cache,
+            on_priced=on_priced, prep_cache=prep_cache,
         )
     except CodegenError:
         return None
@@ -839,67 +817,12 @@ def default_workers() -> int:
     return max(1, min(os.cpu_count() or 1, MAX_DEFAULT_WORKERS))
 
 
-def default_executor() -> str:
-    """The pool type :func:`evaluate_many` fans out with.
-
-    ``"thread"`` (the default) or ``"process"``, overridden by the
-    ``REPRO_EVALUATE_EXECUTOR`` environment variable.  Threads share the
-    compile cache but serialize kernel execution on the GIL — the pool
-    only overlaps the numpy portions of vector kernels and any blocking
-    I/O.  Processes sidestep the GIL entirely (arenas and specs pickle
-    compactly now that buffers are numpy arrays) at the cost of one
-    spec compile per worker plus per-workload pickling; measurements on
-    the benchmark sweep (see ``benchmarks/BENCH_backend.json``, the
-    ``executor`` field) show threads winning below roughly a second of
-    per-workload work, which is why ``"thread"`` stays the default.
-    """
-    env = os.environ.get("REPRO_EVALUATE_EXECUTOR")
-    if env is None or env == "":
-        return "thread"
-    if env in ("thread", "process"):
-        return env
-    raise EnvVarError(
-        f"REPRO_EVALUATE_EXECUTOR={env!r} is not a valid pool type; "
-        "set it to 'thread' or 'process', or unset it for the thread "
-        "default"
-    )
-
-
 def _opset_token(ops: OpSet):
     """A picklable token for a named opset, or None."""
     for name, known in NAMED_OPSETS.items():
         if ops is known:
             return name
     return None
-
-
-def process_incompatibilities(opset, opsets, energy_model, backend) -> List[str]:
-    """Why these ``evaluate_many`` arguments cannot cross a process pool.
-
-    Returns a human-readable reason per offending argument (empty when
-    the process executor can engage).  The pool ships
-    ``(spec, tensors, opset_name, shapes, metrics)`` payloads by pickle
-    and rebuilds the default engine in each worker, so anything that
-    cannot be named — an ad-hoc opset, per-Einsum opset overrides, a
-    custom energy model, a caller-supplied backend instance — has no
-    picklable representation.
-    """
-    reasons = []
-    if _opset_token(opset) is None:
-        reasons.append(
-            "opset is not one of the named opsets (repro.einsum."
-            "operators.NAMED_OPSETS), so it cannot be shipped by name"
-        )
-    if opsets:
-        reasons.append("per-Einsum opset overrides (opsets=...) cannot "
-                       "be shipped by name")
-    if energy_model is not None:
-        reasons.append("a custom energy_model cannot be rebuilt in the "
-                       "worker processes")
-    if backend not in (None, "auto"):
-        reasons.append("a non-default backend cannot be rebuilt in the "
-                       "worker processes")
-    return reasons
 
 
 def cache_incompatibilities(opset, opsets, energy_model, engine) -> List[str]:
@@ -936,80 +859,39 @@ def cache_incompatibilities(opset, opsets, energy_model, engine) -> List[str]:
     return reasons
 
 
-def resolve_pool_mode(executor, opset, opsets=None, energy_model=None,
-                      backend=None) -> str:
-    """The pool type a fan-out should actually use: ``"thread"`` or
-    ``"process"``.
+def store_and_engine(cache, backend=None, opset: OpSet = ARITHMETIC,
+                     opsets=None, energy_model=None):
+    """Resolve one sweep's ``cache=`` into ``(store, engine)``.
 
-    Encodes the one executor-downgrade policy shared by
-    :func:`evaluate_many` and the search runner: an *explicit*
-    ``executor="process"`` argument with process-incompatible arguments
-    raises :class:`ProcessExecutorError` naming each offender, while the
-    ``REPRO_EVALUATE_EXECUTOR`` path downgrades to threads with an
-    :class:`ExecutorDowngradeWarning` naming the same offenders.
+    ``cache`` is a directory path, a :class:`~repro.store.PersistentStore`
+    or None.  With a store and the default backend, the engine is a fresh
+    :class:`CompiledBackend` whose compile cache is store-backed too, so
+    a warm sweep skips lowering as well as pricing.  Arguments that
+    cannot be keyed durably (see :func:`cache_incompatibilities`) bypass
+    the store with one :class:`StoreBypassWarning` naming each offender;
+    the store is then None.  Nothing is memoized across calls: each call
+    opens its own store handle and engine, so a caller that opens a new
+    store directory per sweep does not grow a process-wide table.
     """
-    mode = executor if executor is not None else default_executor()
-    if mode != "process":
-        return "thread"
-    reasons = process_incompatibilities(opset, opsets, energy_model,
-                                        backend)
-    if not reasons:
-        return "process"
-    if executor == "process":
-        raise ProcessExecutorError(
-            "executor='process' was requested explicitly but the "
-            "arguments cannot cross a process pool: " + "; ".join(reasons)
-        )
-    warnings.warn(
-        "REPRO_EVALUATE_EXECUTOR=process was downgraded to the thread "
-        "pool because the arguments cannot cross a process pool: "
-        + "; ".join(reasons),
-        ExecutorDowngradeWarning, stacklevel=3,
-    )
-    return "thread"
+    if cache is None:
+        return None, resolve_backend(backend)
+    from ..store import resolve_store
 
-
-#: Per-process memo of (store, kernel-persistent engine) pairs, keyed by
-#: cache directory: pool workers re-open the same store once, not per
-#: payload, and share one persistent-backed compile cache.
-_WORKER_STORES: Dict[str, tuple] = {}
-
-
-def _worker_store(cache_dir: str) -> tuple:
-    entry = _WORKER_STORES.get(cache_dir)
-    if entry is None:
-        from ..store import PersistentStore
-
-        store = PersistentStore(cache_dir)
+    store = resolve_store(cache)
+    if backend in (None, "auto"):
         engine = CompiledBackend(cache=CompileCache(persistent=store),
                                  fallback=True)
-        entry = (store, engine)
-        _WORKER_STORES[cache_dir] = entry
-    return entry
-
-
-def _process_one(payload) -> EvaluationResult:
-    """Process-pool worker: rebuild the engine in-process and evaluate.
-
-    The child's compile cache is cold on the first workload and warm for
-    the rest of that worker's share; specs, tensors, and results cross
-    the process boundary by pickle.  A six-field payload carries a
-    persistent-cache directory: the worker then consults/publishes the
-    shared store directly — result hits skip evaluation, kernel hits
-    skip lowering — which is what makes cold worker pools cheap.
-    """
-    cache_dir = None
-    if len(payload) == 5:
-        spec, tensors, opset_name, shapes, metrics = payload
     else:
-        spec, tensors, opset_name, shapes, metrics, cache_dir = payload
-    if cache_dir is None:
-        return evaluate(spec, tensors, opset=NAMED_OPSETS[opset_name],
-                        shapes=shapes, metrics=metrics)
-    store, engine = _worker_store(cache_dir)
-    return evaluate(spec, tensors, opset=NAMED_OPSETS[opset_name],
-                    shapes=shapes, metrics=metrics, backend=engine,
-                    cache=store)
+        engine = resolve_backend(backend)
+    reasons = cache_incompatibilities(opset, opsets, energy_model, engine)
+    if reasons:
+        warnings.warn(
+            "cache= was bypassed for this sweep because the arguments "
+            "cannot be keyed durably: " + "; ".join(reasons),
+            StoreBypassWarning, stacklevel=3,
+        )
+        return None, resolve_backend(backend)
+    return store, engine
 
 
 def evaluate_many(
@@ -1022,7 +904,6 @@ def evaluate_many(
     backend=None,
     workers: Optional[int] = None,
     metrics: str = "auto",
-    executor: Optional[str] = None,
     timeout: Optional[float] = None,
     max_retries: int = 2,
     retry_backoff: float = 0.05,
@@ -1034,46 +915,35 @@ def evaluate_many(
     The spec is lowered and compiled a single time (warming the backend's
     compile cache), then every workload — a ``{tensor: Tensor}`` dict —
     is evaluated against the cached kernels.  ``workers`` fans the
-    evaluations out over a pool (kernels and component models are
+    evaluations out over a thread pool (kernels and component models are
     independent per workload); it defaults to :func:`default_workers`
     (``os.cpu_count()`` capped at :data:`MAX_DEFAULT_WORKERS`, overridden
     by the ``REPRO_EVALUATE_WORKERS`` environment variable — set it to
-    ``1`` to force sequential evaluation).  ``metrics`` is forwarded to
+    ``1`` to force sequential evaluation).  Threads share the warm
+    compile cache; kernel execution holds the GIL, so they overlap only
+    the numpy sections.  A sweep that needs several processes runs as a
+    leased batch job instead (:mod:`repro.search.jobs`: ``submit`` /
+    ``run_worker`` / ``gather``).  ``metrics`` is forwarded to
     :func:`evaluate` per workload.
-
-    ``executor`` picks the pool type: ``"thread"`` (default — see
-    :func:`default_executor` for the GIL trade-off and the measurement
-    behind the default) or ``"process"`` (opt in per call or via
-    ``REPRO_EVALUATE_EXECUTOR=process``).  The process pool requires
-    picklable arguments, so it only engages for named opsets with no
-    per-Einsum overrides, no custom energy model, and the default
-    backend.  An *explicit* ``executor="process"`` argument with
-    incompatible arguments raises :class:`ProcessExecutorError` naming
-    each offender; the ``REPRO_EVALUATE_EXECUTOR`` path downgrades to
-    threads with an :class:`ExecutorDowngradeWarning`.
 
     The fan-out is *supervised* (see
     :class:`~repro.search.supervisor.SweepSupervisor`): transient
-    worker failures — a died worker process, a broken pool — retry up
-    to ``max_retries`` times with exponential backoff
-    (``retry_backoff`` seconds doubling per attempt), a broken process
-    pool is rebuilt once and then the batch downgrades to threads with
-    a :class:`~repro.search.supervisor.SweepDegradationWarning`, and
-    ``timeout`` bounds each workload's wall-clock evaluation (pooled
-    runs only).  Because this function's contract is one result per
-    workload, a failure that survives the retry budget — including a
-    deterministic spec error, which is never retried — re-raises the
-    original exception (for a timeout, a
+    failures retry up to ``max_retries`` times with jittered exponential
+    backoff (``retry_backoff`` seconds as the base), and ``timeout``
+    bounds each workload's wall-clock evaluation (pooled runs only).
+    Because this function's contract is one result per workload, a
+    failure that survives the retry budget — including a deterministic
+    spec error, which is never retried — re-raises the original
+    exception (for a timeout, a
     :class:`~repro.search.supervisor.CandidateTimeoutError`).
 
     ``cache`` (a directory path or a
     :class:`~repro.store.PersistentStore`) consults and feeds the
     disk-backed cross-process store, exactly as in :func:`evaluate`;
     with the default backend the compile cache is store-backed too, so
-    a warm pool skips lowering as well as pricing.  Process-pool
-    workers open the same store directory themselves (one handle per
-    worker process).  Incompatible arguments bypass the store for the
-    whole sweep with a single :class:`StoreBypassWarning`.
+    a warm sweep skips lowering as well as pricing (see
+    :func:`store_and_engine`).  Incompatible arguments bypass the store
+    for the whole sweep with a single :class:`StoreBypassWarning`.
 
     ``validate`` runs the static spec linter once for the whole sweep
     (see :func:`lint_gate`): ``"warn"`` surfaces findings, ``"strict"``
@@ -1081,10 +951,6 @@ def evaluate_many(
 
     Returns one :class:`EvaluationResult` per workload, in order.
     """
-    if executor is not None and executor not in ("thread", "process"):
-        raise ValueError(
-            f"unknown executor {executor!r}; known: 'thread', 'process'"
-        )
     workloads = list(workloads)
     # One lint pass covers the whole sweep: the spec does not change
     # per workload (tile-shape rules see the first workload's shapes).
@@ -1094,31 +960,9 @@ def evaluate_many(
     # this module at its own import time.
     from ..search.supervisor import SweepSupervisor
 
-    store = None
-    if cache is not None and metrics != "analytical":
-        from ..store import resolve_store
-
-        store = resolve_store(cache)
-        if backend in (None, "auto"):
-            # Back the compile cache with the store too: a warm worker
-            # pool skips lowering, not just pricing.
-            engine = CompiledBackend(
-                cache=CompileCache(persistent=store), fallback=True,
-            )
-        else:
-            engine = resolve_backend(backend)
-        reasons = cache_incompatibilities(opset, opsets, energy_model,
-                                          engine)
-        if reasons:
-            warnings.warn(
-                "cache= was bypassed for this sweep because the "
-                "arguments cannot be keyed durably: " + "; ".join(reasons),
-                StoreBypassWarning, stacklevel=2,
-            )
-            store = None
-            engine = resolve_backend(backend)
-    else:
-        engine = resolve_backend(backend)
+    store, engine = store_and_engine(
+        cache if metrics != "analytical" else None, backend, opset,
+        opsets, energy_model)
     if isinstance(engine, CompiledBackend):
         try:
             engine.compile(spec)  # warm the cache once, up front
@@ -1126,33 +970,19 @@ def evaluate_many(
             if not engine.fallback:
                 raise
 
-    def one(tensors: Dict[str, Tensor]) -> EvaluationResult:
-        return evaluate(spec, tensors, opset=opset, opsets=opsets,
+    def one(i: int) -> EvaluationResult:
+        return evaluate(spec, workloads[i], opset=opset, opsets=opsets,
                         shapes=shapes, energy_model=energy_model,
                         backend=engine, metrics=metrics, cache=store)
 
     if workers is None:
         workers = default_workers()
-    pooled = workers > 1 and len(workloads) > 1
-    mode = resolve_pool_mode(executor, opset, opsets, energy_model,
-                             backend) if pooled else "thread"
     supervisor = SweepSupervisor(
-        workers=workers if pooled else 1, mode=mode, timeout=timeout,
-        max_retries=max_retries, backoff=retry_backoff,
-        key=lambda i: f"workload[{i}]",
+        workers=workers, timeout=timeout, max_retries=max_retries,
+        backoff=retry_backoff, key=lambda i: f"workload[{i}]",
     )
-    token = _opset_token(opset)
     try:
-        completed = supervisor.run_batch(
-            range(len(workloads)),
-            lambda i: one(workloads[i]),
-            payload=lambda i: (
-                (spec, workloads[i], token, shapes, metrics)
-                if store is None else
-                (spec, workloads[i], token, shapes, metrics, store.path)
-            ),
-            process_worker=_process_one,
-        )
+        completed = supervisor.run_batch(range(len(workloads)), one)
     finally:
         supervisor.close()
     if supervisor.failures:

@@ -9,20 +9,22 @@ It splits the problem into three orthogonal pieces:
   and :func:`apply_candidate`;
 * :mod:`repro.search.strategies` — pluggable candidate generators behind
   :class:`SearchStrategy`: exhaustive, seeded random, greedy beam;
-* :mod:`repro.search.runner` — parallel candidate evaluation (threads or
-  processes, shared compile + prep caches), two-phase
+* :mod:`repro.search.runner` — parallel candidate evaluation over a
+  thread pool (shared compile + prep caches), two-phase
   analytical-then-exact pruning, and the entry points :func:`search`,
   :func:`explore`, and :func:`explore_cascade`;
 * :mod:`repro.search.supervisor` / :mod:`repro.search.journal` — the
   fault-tolerance layer: per-candidate timeouts, bounded retry with
-  failure classification, broken-pool recovery, and crash-safe
+  failure classification, hung-pool retirement, and crash-safe
   journal/manifest artifacts behind ``search(..., journal=...)`` and
   bit-identical resumption behind ``search(..., resume=...)``;
-* :mod:`repro.search.jobs` — the same sweep as an on-disk batch job:
-  :func:`submit` shards the space into a job directory, any number of
-  independent worker processes :func:`claim` leased shards (abandoned
-  leases expire and are re-claimed), and :func:`gather` assembles a
-  result bit-identical to an in-process ``search()``.  Pairs with the
+* :mod:`repro.search.jobs` — the multi-process path: the same sweep as
+  an on-disk batch job.  :func:`submit` shards the space into a job
+  directory, any number of independent worker processes
+  (:func:`run_worker`) :func:`claim` leased shards (abandoned leases
+  expire and are re-claimed; a taken-over claim is fenced with
+  :class:`LeaseLostError`), and :func:`gather` assembles a result
+  bit-identical to an in-process ``search()``.  Pairs with the
   cross-process persistent cache (:mod:`repro.store`, exposed as
   ``search(..., cache=dir)``).
 """
@@ -31,6 +33,7 @@ from ..store import PayloadVersionError
 from .jobs import (
     JobError,
     JobStatus,
+    LeaseLostError,
     ShardClaim,
     claim,
     gather,
@@ -60,7 +63,6 @@ from .runner import (
 from .supervisor import (
     CandidateTimeoutError,
     FailureRecord,
-    SweepDegradationWarning,
     SweepSupervisor,
     classify_failure,
 )
@@ -89,6 +91,7 @@ __all__ = [
     "JobError",
     "JobStatus",
     "JournalError",
+    "LeaseLostError",
     "MappingSpace",
     "PayloadVersionError",
     "RandomSearch",
@@ -97,7 +100,6 @@ __all__ = [
     "SearchRunner",
     "SearchStrategy",
     "ShardClaim",
-    "SweepDegradationWarning",
     "SweepJournal",
     "SweepSupervisor",
     "apply_candidate",

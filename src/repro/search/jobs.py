@@ -1,9 +1,10 @@
 """Leased batch jobs: a sweep sharded across independent processes.
 
-:func:`search` parallelizes one sweep *inside* one process; this module
-turns a sweep into an on-disk **job directory** that any number of
-unrelated worker processes — different shells, different machines on a
-shared filesystem — chew through cooperatively and crash-safely:
+:func:`search` parallelizes one sweep over threads *inside* one
+process; this module is the one multi-process path.  It turns a sweep
+into an on-disk **job directory** that any number of unrelated worker
+processes — different shells, different machines on a shared
+filesystem — chew through cooperatively and crash-safely:
 
 * :func:`submit` enumerates the mapping space deterministically, splits
   the candidates round-robin into ``shards`` shard files, and writes the
@@ -21,17 +22,20 @@ shared filesystem — chew through cooperatively and crash-safely:
   candidate (the journal record schema, plus a per-line digest), and
   commits an atomic done marker when the shard is exhausted.  Records
   already on disk — its own from a previous life, or a presumed-dead
-  predecessor's — are adopted, not recomputed.
+  predecessor's — are adopted, not recomputed.  Every write is
+  **fenced** by the lease epoch: once a shard was taken over, the old
+  claim's heartbeat, record and complete raise :class:`LeaseLostError`
+  instead of writing, and :func:`run_worker` drops the shard.
 * :func:`poll` summarizes progress; :func:`gather` assembles the
   finished job into a :class:`~repro.search.results.SearchResult`
   **bit-identical** to what a serial in-process ``search()`` over the
   same space would return (results travel as pickled payloads, exactly
   like journal resume adoption).
 
-Two workers can transiently hold one shard — lease takeover is by
-timeout, and the presumed-dead worker may still be running.  That is
-safe by construction rather than prevented: every evaluation is
-deterministic (both writers compute bit-identical results), every
+Two workers can still transiently hold one shard — lease takeover is
+by timeout, and a presumed-dead worker may be between its fence check
+and its append.  That window is safe by construction: every evaluation
+is deterministic (both writers compute bit-identical results), every
 result line carries its own checksum (a torn or interleaved line is
 detected and dropped, then recomputed or supplied by the other
 writer's copy), and the loader deduplicates by candidate key.  The
@@ -52,7 +56,7 @@ from typing import Any, Dict, List, Optional
 
 from ..einsum.operators import NAMED_OPSETS
 from ..model.backend import spec_fingerprint
-from ..model.evaluate import evaluate
+from ..model.evaluate import evaluate, store_and_engine
 from ..model.executor import fault_point
 from ..spec.loader import AcceleratorSpec
 from ..store.persistent import (
@@ -87,6 +91,11 @@ DEFAULT_LEASE_TTL = 30.0
 
 class JobError(JournalError):
     """A job directory is missing, malformed, or used inconsistently."""
+
+
+class LeaseLostError(JobError):
+    """A claim's lease was taken over: the shard now belongs to a later
+    epoch, so this claim may no longer write to it."""
 
 
 def _atomic_json(path: str, obj: Any, fsync: bool = True) -> None:
@@ -166,7 +175,7 @@ def submit(
     lands in shard ``i % shards``, so shards are balanced and the
     original enumeration order is recoverable from (shard, position).
     ``opset`` must be a *named* opset (or None for arithmetic): workers
-    rebuild it by name, exactly like the process-pool payloads.
+    rebuild it by name.
     ``cache`` (a directory path) is recorded in the manifest; every
     worker then routes its evaluations through that shared
     :class:`~repro.store.PersistentStore`.
@@ -348,18 +357,50 @@ class ShardClaim:
         return [c for c in self.candidates
                 if candidate_key(c) not in self.done_keys]
 
+    def _lease_path(self) -> str:
+        return os.path.join(self.path, "leases",
+                            f"shard-{self.shard:04d}.lease")
+
+    def _check_lease(self) -> None:
+        """Raise :class:`LeaseLostError` unless the lease still carries
+        this claim's epoch."""
+        lease = _read_json(self._lease_path())
+        if lease is None or lease.get("epoch") != self.epoch:
+            held = "no lease" if lease is None else (
+                f"epoch {lease.get('epoch')} held by {lease.get('worker')!r}")
+            raise LeaseLostError(
+                f"shard {self.shard} was taken over ({held}); the claim "
+                f"of {self.worker!r} at epoch {self.epoch} is fenced"
+            )
+
     def heartbeat(self) -> None:
-        """Re-stamp the lease so it stays live past ``lease_ttl``."""
-        _atomic_json(
-            os.path.join(self.path, "leases",
-                         f"shard-{self.shard:04d}.lease"),
-            {"worker": self.worker, "epoch": self.epoch,
-             "heartbeat": self.clock()},
-            fsync=False,  # a lost heartbeat only risks a takeover
-        )
+        """Re-stamp the lease so it stays live past ``lease_ttl``.
+
+        Checked and stamped under ``claim.lock``, so a takeover can
+        never be overwritten by the claim it replaced.
+        """
+        with _FileLock(os.path.join(self.path, "claim.lock")):
+            self._check_lease()
+            _atomic_json(
+                self._lease_path(),
+                {"worker": self.worker, "epoch": self.epoch,
+                 "heartbeat": self.clock()},
+                fsync=False,  # a lost heartbeat only risks a takeover
+            )
+
+    def _append(self, record: Dict[str, Any]) -> None:
+        """Fence, then append one checksummed record, flushed whole."""
+        self._check_lease()
+        with open(os.path.join(self.path, "results",
+                               f"shard-{self.shard:04d}.jsonl"),
+                  "ab") as fh:
+            fh.write(_record_line(record).encode("utf-8"))
+            fh.flush()
+            os.fsync(fh.fileno())
+        self.done_keys[record["key"]] = record
 
     def record(self, cand: Candidate, result, score: float) -> None:
-        """Append one priced candidate (checksummed, flushed whole)."""
+        """Append one priced candidate."""
         record = {
             "type": "result",
             "phase": 1,
@@ -372,13 +413,7 @@ class ShardClaim:
             "epoch": self.epoch,
         }
         fault_point(f"jobs-record:shard-{self.shard:04d}")
-        with open(os.path.join(self.path, "results",
-                               f"shard-{self.shard:04d}.jsonl"),
-                  "ab") as fh:
-            fh.write(_record_line(record).encode("utf-8"))
-            fh.flush()
-            os.fsync(fh.fileno())
-        self.done_keys[record["key"]] = record
+        self._append(record)
 
     def record_failure(self, cand: Candidate, error: str) -> None:
         record = {
@@ -390,21 +425,18 @@ class ShardClaim:
             "worker": self.worker,
             "epoch": self.epoch,
         }
-        with open(os.path.join(self.path, "results",
-                               f"shard-{self.shard:04d}.jsonl"),
-                  "ab") as fh:
-            fh.write(_record_line(record).encode("utf-8"))
-            fh.flush()
-            os.fsync(fh.fileno())
-        self.done_keys[record["key"]] = record
+        self._append(record)
 
     def complete(self) -> None:
-        """Commit the shard's done marker (idempotent)."""
-        _atomic_json(
-            os.path.join(self.path, "done", f"shard-{self.shard:04d}"),
-            {"worker": self.worker, "epoch": self.epoch,
-             "n": len(self.done_keys)},
-        )
+        """Commit the shard's done marker (idempotent), fenced under
+        ``claim.lock`` like :meth:`heartbeat`."""
+        with _FileLock(os.path.join(self.path, "claim.lock")):
+            self._check_lease()
+            _atomic_json(
+                os.path.join(self.path, "done", f"shard-{self.shard:04d}"),
+                {"worker": self.worker, "epoch": self.epoch,
+                 "n": len(self.done_keys)},
+            )
 
 
 def claim(path: str, worker: Optional[str] = None,
@@ -418,9 +450,9 @@ def claim(path: str, worker: Optional[str] = None,
     and either no lease or a lease whose last heartbeat is older than
     ``lease_ttl`` seconds by ``clock`` — the stale lease is overwritten
     with a fresh one at the next epoch (the takeover is visible in the
-    shard's records).  The dead worker is *presumed* dead, not fenced:
-    should it wake up and keep appending, checksummed dup-tolerant
-    records keep the shard consistent (see the module docstring).
+    shard's records).  The presumed-dead worker is fenced: should it
+    wake up, its next heartbeat, record or complete sees the newer
+    epoch and raises :class:`LeaseLostError` instead of writing.
     """
     manifest = _load_manifest(path)
     if worker is None:
@@ -471,9 +503,13 @@ def run_worker(path: str, worker: Optional[str] = None,
     worker on a slow candidate is never mistaken for a dead one between
     candidates), append each result, commit the done marker, repeat.
     Already-recorded candidates — from this worker's previous life or a
-    predecessor whose lease expired — are adopted, never recomputed.
-    Returns the number of shards this call completed.  ``max_shards``
-    bounds the loop (tests claim one shard at a time with it).
+    predecessor whose lease expired — are adopted, never recomputed.  A
+    shard whose lease was taken over meanwhile (:class:`LeaseLostError`)
+    is dropped unfinished and the next one claimed, so ``lease_ttl``
+    must exceed the slowest candidate's evaluation: a shorter one lets
+    claimants fence each other before anything is recorded.  Returns the
+    number of shards this call completed.  ``max_shards`` bounds the
+    loop (tests claim one shard at a time with it).
     """
     manifest = _load_manifest(path)
     payload = _job_payload(path)
@@ -483,33 +519,31 @@ def run_worker(path: str, worker: Optional[str] = None,
     shapes = manifest["shapes"]
     metrics = manifest["metrics"]
     metric = manifest["metric"]
-    cache = manifest.get("cache")
-    if cache is not None:
-        from ..model.evaluate import _worker_store
-
-        store, engine = _worker_store(cache)
-    else:
-        store = engine = None
+    store, engine = store_and_engine(manifest.get("cache"), opset=opset)
     completed = 0
     while max_shards is None or completed < max_shards:
         shard_claim = claim(path, worker, lease_ttl=lease_ttl, clock=clock)
         if shard_claim is None:
             break
-        for cand in shard_claim.pending:
-            cand_spec = apply_candidate(spec, einsum, cand)
-            try:
-                result = evaluate(
-                    cand_spec, dict(tensors), opset=opset, shapes=shapes,
-                    metrics=metrics, backend=engine, cache=store,
-                )
-            except Exception as exc:  # recorded, not fatal to the shard
-                shard_claim.record_failure(cand, f"{type(exc).__name__}: "
-                                                 f"{exc}")
-            else:
-                shard_claim.record(cand, result,
-                                   metric_value(result, metric))
-            shard_claim.heartbeat()
-        shard_claim.complete()
+        try:
+            for cand in shard_claim.pending:
+                cand_spec = apply_candidate(spec, einsum, cand)
+                try:
+                    result = evaluate(
+                        cand_spec, dict(tensors), opset=opset,
+                        shapes=shapes, metrics=metrics, backend=engine,
+                        cache=store,
+                    )
+                except Exception as exc:  # recorded, not fatal to the shard
+                    shard_claim.record_failure(
+                        cand, f"{type(exc).__name__}: {exc}")
+                else:
+                    shard_claim.record(cand, result,
+                                       metric_value(result, metric))
+                shard_claim.heartbeat()
+            shard_claim.complete()
+        except LeaseLostError:
+            continue  # the shard was taken over; it is someone else's now
         completed += 1
     return completed
 

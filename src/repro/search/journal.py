@@ -12,7 +12,7 @@ two files inside one journal directory:
     (name + public scalar parameters, seeds included).  Written once,
     via write-to-temp + :func:`os.replace`, so a reader never observes a
     half-written manifest.  Fields that cannot change the result —
-    worker counts, executor kind, timeouts — are recorded for the audit
+    worker counts, timeouts — are recorded for the audit
     trail but excluded from the resume identity check.
 
 ``journal.jsonl``
@@ -62,7 +62,7 @@ MANIFEST_NAME = "manifest.json"
 JOURNAL_NAME = "journal.jsonl"
 
 #: Manifest fields that must match for a resume to be sound.  Everything
-#: else (workers, executor, timeouts, library version, timestamps) can
+#: else (workers, timeouts, library version, timestamps) can
 #: differ between the original run and the resume without changing the
 #: result.
 IDENTITY_FIELDS = (

@@ -58,25 +58,28 @@ class ExplorationResult:
         default_factory=list
     )
 
-    def _metric(self, res: EvaluationResult, metric: str) -> float:
-        return metric_value(res, metric)
+    def _metric_name(self, metric: Optional[str]) -> str:
+        """The ranking metric when the caller names none."""
+        return "exec_seconds" if metric is None else metric
 
-    def ranked(self, metric: str = "exec_seconds"):
+    def ranked(self, metric: Optional[str] = None):
+        metric = self._metric_name(metric)
         return sorted(self.candidates,
-                      key=lambda pair: self._metric(pair[1], metric))
+                      key=lambda pair: metric_value(pair[1], metric))
 
-    def best(self, metric: str = "exec_seconds"):
+    def best(self, metric: Optional[str] = None):
         if not self.candidates:
             raise ValueError("no candidates evaluated")
         return self.ranked(metric)[0]
 
-    def to_table(self, metric: str = "exec_seconds",
+    def to_table(self, metric: Optional[str] = None,
                  top: Optional[int] = None) -> str:
         """A quick ranking dump: one row per candidate, best first.
 
         Columns: rank, the sort metric, cycles, DRAM traffic (bytes),
         energy (pJ), and the candidate's mapping description.
         """
+        metric = self._metric_name(metric)
         rows = self.ranked(metric)
         if top is not None:
             rows = rows[:top]
@@ -85,7 +88,7 @@ class ExplorationResult:
         lines = [header, "-" * len(header)]
         for k, (cand, res) in enumerate(rows, 1):
             lines.append(
-                f"{k:>3}  {self._metric(res, metric):>14.6g}  "
+                f"{k:>3}  {metric_value(res, metric):>14.6g}  "
                 f"{res.exec_cycles:>12.6g}  {res.traffic_bytes():>12.6g}  "
                 f"{res.energy_pj:>14.6g}  {cand.describe()}"
             )
@@ -99,8 +102,10 @@ class SearchResult(ExplorationResult):
     ``candidates`` holds only the *fully priced* candidates (every
     candidate when the run did not prune; the top-k survivors when it
     did), so :meth:`best`/:meth:`ranked` always compare exact metrics
-    against exact metrics.  ``scores`` records the phase-1 surrogate
-    score of everything the strategy proposed, in proposal order.
+    against exact metrics.  They, and :meth:`to_table`, rank by the
+    search's own ``metric`` unless another one is named.  ``scores``
+    records the phase-1 surrogate score of everything the strategy
+    proposed, in proposal order.
     ``failures`` records candidates that could not be priced under a
     supervised run (:class:`~repro.search.supervisor.FailureRecord`
     entries: poison candidates, exhausted retries, timeouts) — empty on
@@ -113,6 +118,9 @@ class SearchResult(ExplorationResult):
     pruned_to: Optional[int] = None
     stats: Dict[str, float] = field(default_factory=dict)
     failures: List = field(default_factory=list)
+
+    def _metric_name(self, metric: Optional[str]) -> str:
+        return self.metric if metric is None else metric
 
     @property
     def n_scored(self) -> int:

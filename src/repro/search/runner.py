@@ -9,22 +9,17 @@ The runner composes three independent pieces:
 
 * **A strategy** (:mod:`repro.search.strategies`) proposes candidate
   batches and sees only float scores back.
-* **Parallel evaluation** fans each batch out over the
-  ``evaluate_many`` machinery: a thread pool sharing the process-wide
-  compile cache and one thread-safe
-  :class:`~repro.model.backend.PrepCache` per sweep, or a process pool
-  shipping picklable ``(spec, tensors, opset, shapes, metrics)``
-  payloads.  An explicit ``executor="process"`` request with
-  process-incompatible arguments raises
-  :class:`~repro.model.evaluate.ProcessExecutorError`; the
-  env-var/default path downgrades to threads with an
-  :class:`~repro.model.evaluate.ExecutorDowngradeWarning` naming each
-  offender.  Every fan-out runs under a
-  :class:`~repro.search.supervisor.SweepSupervisor`: per-candidate
-  wall-clock ``timeout``, bounded retry of transient worker failures
-  (``max_retries``/``retry_backoff``), broken process pools rebuilt
-  once then downgraded to threads, and deterministic spec errors
-  recorded on ``SearchResult.failures`` instead of killing the sweep.
+* **Parallel evaluation** fans each batch out over a thread pool
+  sharing the compile cache and one thread-safe
+  :class:`~repro.model.backend.PrepCache` per sweep.  A sweep that
+  needs several processes runs as a leased batch job instead
+  (:mod:`repro.search.jobs`: ``submit`` / ``run_worker`` /
+  ``gather``, bit-identical to :func:`search`).  Every fan-out runs
+  under a :class:`~repro.search.supervisor.SweepSupervisor`:
+  per-candidate wall-clock ``timeout``, bounded retry of transient
+  failures (``max_retries``/``retry_backoff``), and deterministic spec
+  errors recorded on ``SearchResult.failures`` instead of killing the
+  sweep.
   ``journal=path`` checkpoints every priced candidate to a crash-safe
   JSONL journal (plus an atomic ``manifest.json``);
   ``resume=path`` replays the deterministic strategy and adopts every
@@ -54,27 +49,16 @@ The runner composes three independent pieces:
 from __future__ import annotations
 
 import time
-import warnings
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..einsum.operators import ARITHMETIC, OpSet
 from ..fibertree.rankid import rank_of_var
-from ..model.backend import (
-    CompileCache,
-    CompiledBackend,
-    PrepCache,
-    resolve_backend,
-    spec_fingerprint,
-)
+from ..model.backend import PrepCache, spec_fingerprint
 from ..model.evaluate import (
     EvaluationResult,
-    StoreBypassWarning,
-    _opset_token,
-    _process_one,
-    cache_incompatibilities,
     default_workers,
     evaluate,
-    resolve_pool_mode,
+    store_and_engine,
 )
 from ..spec.loader import AcceleratorSpec
 from .journal import (
@@ -131,7 +115,6 @@ class SearchRunner:
         metrics: str = "auto",
         metric: str = "exec_seconds",
         workers: Optional[int] = None,
-        executor: Optional[str] = None,
         prune_to: Optional[int] = None,
         prune_metrics: str = "auto",
         prep_cache: Optional[PrepCache] = None,
@@ -143,10 +126,6 @@ class SearchRunner:
         cache=None,
         validate: str = "off",
     ):
-        if executor is not None and executor not in ("thread", "process"):
-            raise ValueError(
-                f"unknown executor {executor!r}; known: 'thread', 'process'"
-            )
         if validate not in ("off", "warn", "strict"):
             raise ValueError(
                 f"unknown validate mode {validate!r}; known: 'off', "
@@ -172,39 +151,11 @@ class SearchRunner:
         self.opsets = opsets
         self.shapes = shapes
         self.energy_model = energy_model
-        self._backend_arg = backend
-        self.store = None
-        if cache is not None:
-            from ..store import resolve_store
-
-            store = resolve_store(cache)
-            if backend in (None, "auto"):
-                # Store-backed compile cache: a warm sweep (or a cold
-                # worker process) skips lowering, not just pricing.
-                engine = CompiledBackend(
-                    cache=CompileCache(persistent=store), fallback=True,
-                )
-            else:
-                engine = resolve_backend(backend)
-            reasons = cache_incompatibilities(opset, opsets, energy_model,
-                                              engine)
-            if reasons:
-                warnings.warn(
-                    "cache= was bypassed for this search because the "
-                    "arguments cannot be keyed durably: "
-                    + "; ".join(reasons),
-                    StoreBypassWarning, stacklevel=2,
-                )
-                self.engine = resolve_backend(backend)
-            else:
-                self.store = store
-                self.engine = engine
-        else:
-            self.engine = resolve_backend(backend)
+        self.store, self.engine = store_and_engine(
+            cache, backend, opset, opsets, energy_model)
         self.metrics = metrics
         self.metric = metric
         self.workers = workers if workers is not None else default_workers()
-        self.executor = executor
         self.prune_to = prune_to
         self.prune_metrics = prune_metrics
         self.prep_cache = prep_cache if prep_cache is not None else PrepCache()
@@ -223,9 +174,8 @@ class SearchRunner:
             lint_gate(spec, tensors=self.tensors, shapes=shapes,
                       validate=validate)
         # Supervision state, owned by run(): one supervisor (and its
-        # pools) serves every batch of a search — multi-round strategies
-        # would otherwise pay pool spin-up, worker-process imports
-        # included, per round.
+        # pool) serves every batch of a search — multi-round strategies
+        # would otherwise pay pool spin-up per round.
         self._supervisor: Optional[SweepSupervisor] = None
         self._journal: Optional[SweepJournal] = None
         self._n_adopted = 0
@@ -357,18 +307,8 @@ class SearchRunner:
                 phase=phase, on_result=on_result, on_failure=on_failure,
             )
         else:
-            token = _opset_token(self.opset)
             completed = supervisor.run_batch(
                 to_run, lambda c: self._evaluate_one(c, metrics),
-                payload=lambda c: (
-                    (apply_candidate(self.spec, self.einsum, c),
-                     self.tensors, token, self.shapes, metrics)
-                    if self.store is None else
-                    (apply_candidate(self.spec, self.einsum, c),
-                     self.tensors, token, self.shapes, metrics,
-                     self.store.path)
-                ),
-                process_worker=_process_one,
                 phase=phase, on_result=on_result, on_failure=on_failure,
             )
         if not adopted:
@@ -378,8 +318,7 @@ class SearchRunner:
         return [(c, done[c]) for c in candidates if c in done]
 
     # ---- the search loop ----------------------------------------------
-    def _manifest(self, strategy: SearchStrategy, mode: str,
-                  pruning: bool) -> Dict:
+    def _manifest(self, strategy: SearchStrategy, pruning: bool) -> Dict:
         """The sweep's identity (plus audit fields) for the journal."""
         from .. import __version__
 
@@ -395,7 +334,6 @@ class SearchRunner:
             # Audit-only fields (a resume may legitimately differ here).
             "library_version": __version__,
             "workers": self.workers,
-            "executor": mode,
             "timeout": self.timeout,
             "max_retries": self.max_retries,
         }
@@ -407,20 +345,14 @@ class SearchRunner:
         strategy.reset(space)
         pruning = self.prune_to is not None
         phase1_metrics = self.prune_metrics if pruning else self.metrics
-        # Resolve the pool policy once per run (raising early when an
-        # explicit process request cannot be honored).
-        mode = resolve_pool_mode(
-            self.executor, self.opset, self.opsets, self.energy_model,
-            self._backend_arg,
-        ) if self.workers > 1 else "thread"
         self._supervisor = SweepSupervisor(
-            workers=self.workers, mode=mode, timeout=self.timeout,
+            workers=self.workers, timeout=self.timeout,
             max_retries=self.max_retries, backoff=self.retry_backoff,
             key=candidate_key,
         )
         self._n_adopted = 0
         if self.journal_path is not None:
-            manifest = self._manifest(strategy, mode, pruning)
+            manifest = self._manifest(strategy, pruning)
             if self.resuming:
                 self._journal = SweepJournal.resume(self.journal_path,
                                                     manifest)
@@ -537,11 +469,9 @@ class SearchRunner:
                 "n_repriced": n_repriced,
                 "statically_pruned": n_statically_pruned,
                 "workers": self.workers,
-                "executor": supervisor.mode,
                 "n_retried": supervisor.retries,
                 "n_failed": len(supervisor.failures),
                 "n_adopted": self._n_adopted,
-                "events": list(supervisor.events),
             },
             failures=list(supervisor.failures),
         )
@@ -584,11 +514,13 @@ def search(
     (greedy refinement from ``beam_width`` survivors per round), or any
     :class:`~repro.search.strategies.SearchStrategy` instance.
 
-    ``workers``/``executor`` control the parallel candidate evaluation
-    (defaults follow :func:`~repro.model.evaluate.default_workers` and
-    :func:`~repro.model.evaluate.default_executor`); ``workers=1`` forces
-    the serial sweep.  Parallel and serial runs produce bit-identical
-    candidate lists and rankings.
+    ``workers`` sizes the thread pool of the parallel candidate
+    evaluation (default :func:`~repro.model.evaluate.default_workers`);
+    ``workers=1`` forces the serial sweep.  Parallel and serial runs
+    produce bit-identical candidate lists and rankings.  ``executor``
+    accepts only ``None`` or ``"thread"`` (the one in-process pool);
+    a sweep that needs several processes runs through
+    :mod:`repro.search.jobs` instead.
 
     ``prune_to=k`` enables two-phase pruning: every candidate is scored
     with ``prune_metrics`` and only the best ``k`` are kept.  With
@@ -640,11 +572,18 @@ def search(
     error rules prune, so the surviving ranking (and the best
     candidate) is bit-identical to an unpruned run.
     """
+    if executor not in (None, "thread"):
+        raise ValueError(
+            f"executor={executor!r} is not supported: search() fans out "
+            "over threads only (executor=None or 'thread'); run a "
+            "multi-process sweep through repro.search.jobs (submit / "
+            "run_worker / gather)"
+        )
     runner = SearchRunner(
         spec, tensors, einsum=einsum, opset=opset, opsets=opsets,
         shapes=shapes, energy_model=energy_model, backend=backend,
         metrics=metrics, metric=metric, workers=workers,
-        executor=executor, prune_to=prune_to,
+        prune_to=prune_to,
         prune_metrics=prune_metrics, prep_cache=prep_cache,
         timeout=timeout, max_retries=max_retries,
         retry_backoff=retry_backoff, journal=journal, resume=resume,
@@ -696,7 +635,6 @@ def explore_cascade(
     prune_to: Optional[int] = None,
     prune_metrics: str = "auto",
     workers: Optional[int] = None,
-    executor: Optional[str] = None,
     seed: int = 0,
     samples: int = 32,
     beam_width: int = 4,
@@ -735,9 +673,9 @@ def explore_cascade(
             current, tensors, einsum=e.name, strategy=strategy,
             tile_sizes=ts, max_loop_orders=max_loop_orders, metric=metric,
             prune_to=prune_to, prune_metrics=prune_metrics,
-            workers=workers, executor=executor,
-            seed=seed, samples=samples, beam_width=beam_width, opset=opset,
-            opsets=opsets, shapes=shapes, energy_model=energy_model,
+            workers=workers, seed=seed, samples=samples,
+            beam_width=beam_width, opset=opset, opsets=opsets,
+            shapes=shapes, energy_model=energy_model,
             backend=backend, metrics=metrics, prep_cache=prep_cache,
             timeout=timeout, max_retries=max_retries,
             retry_backoff=retry_backoff, validate=validate,

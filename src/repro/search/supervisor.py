@@ -1,35 +1,28 @@
-"""Fault-tolerant fan-out: timeouts, retries, pool recovery, clean drains.
+"""Fault-tolerant fan-out: timeouts, retries, pool retirement, clean drains.
 
 The search runner and ``evaluate_many`` fan thousands of independent
-evaluations across thread or process pools; before this module existed a
-single hung kernel or dead worker process lost the whole sweep.  A
+evaluations across a thread pool; before this module existed a single
+hung kernel or failing worker lost the whole sweep.  A
 :class:`SweepSupervisor` wraps one sweep's fan-out with the durability
 discipline a day-long DSE run needs:
 
 * **Per-task wall-clock timeouts.**  Each submitted task carries a
   deadline; a task that blows past it is abandoned and classified as a
-  transient failure.  A hung worker cannot be preempted from the
+  transient failure.  A hung thread cannot be preempted from the
   outside, so its whole pool is retired — live tasks on it finish,
   nothing new lands on it, a fresh pool takes over — which keeps hung
   workers from ever starving the sweep.  Timeouts require a pool: the
   serial path cannot preempt its own call stack, so ``timeout`` is
   ignored there.
 
-* **Bounded retry with exponential backoff, by failure class.**
-  :func:`classify_failure` splits failures into *transient* (worker
-  death, broken pools, timeouts, unrecognized errors — worth retrying)
-  and *deterministic* (spec/execution errors that would fail identically
+* **Bounded retry with jittered backoff, by failure class.**
+  :func:`classify_failure` splits failures into *transient* (timeouts
+  and unrecognized errors — worth retrying) and
+  *deterministic* (spec/execution errors that would fail identically
   every time — recorded once, never retried).  Transient failures
-  re-submit up to ``max_retries`` times, sleeping
-  ``backoff * 2**(attempt-1)`` seconds between attempts; a poison
-  candidate therefore costs ``max_retries + 1`` attempts at worst and
-  can never wedge a sweep.
-
-* **Graceful pool degradation.**  A broken process pool (a worker died
-  mid-task) is torn down and rebuilt once; if the rebuilt pool breaks
-  again the sweep downgrades to a thread pool — with an explicit
-  :class:`SweepDegradationWarning` each time — instead of dying.  Every
-  task in flight at the breakage is retried under the surviving pool.
+  re-submit up to ``max_retries`` times, sleeping a decorrelated-jitter
+  backoff between attempts; a poison candidate therefore costs
+  ``max_retries + 1`` attempts at worst and can never wedge a sweep.
 
 * **Interrupt drains.**  ``KeyboardInterrupt`` (a real Ctrl-C, or one
   propagated out of a worker) cancels everything not yet running, drains
@@ -37,8 +30,12 @@ discipline a day-long DSE run needs:
   the caller's ``on_result`` hook (so the journal captures them), and
   re-raises — partial results are always usable.
 
+The supervisor fans out within one process.  A sweep that needs several
+processes (or machines) runs as a leased batch job instead: see
+:mod:`repro.search.jobs`.
+
 The supervisor is deliberately generic: items are opaque hashables, the
-work arrives as callables per batch, and completion/failure hooks let
+work arrives as a callable per batch, and completion/failure hooks let
 the caller journal progress as it happens.  The search runner
 (:mod:`repro.search.runner`) wires it to candidates and
 :class:`~repro.search.journal.SweepJournal`;
@@ -50,14 +47,7 @@ from __future__ import annotations
 
 import random
 import time
-import warnings
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    BrokenExecutor,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -88,11 +78,6 @@ DETERMINISTIC_ERRORS = (
 DRAIN_GRACE_SECONDS = 5.0
 
 
-class SweepDegradationWarning(RuntimeWarning):
-    """A sweep lost capability but kept running: a broken process pool
-    was rebuilt, or the sweep downgraded from processes to threads."""
-
-
 class CandidateTimeoutError(RuntimeError):
     """A supervised task exceeded its wall-clock timeout."""
 
@@ -100,15 +85,12 @@ class CandidateTimeoutError(RuntimeError):
 def classify_failure(exc: BaseException) -> str:
     """``TRANSIENT`` (retry) or ``DETERMINISTIC`` (record, never retry).
 
-    Pool breakage and timeouts are transient by construction.  The
-    deterministic set is the closed list of error types evaluation
+    The deterministic set is the closed list of error types evaluation
     raises for a structurally bad candidate
-    (:data:`DETERMINISTIC_ERRORS`).  Everything unrecognized is
-    presumed transient: an unknown failure gets the benefit of a
-    bounded retry rather than being dropped on first sight.
+    (:data:`DETERMINISTIC_ERRORS`).  Everything else — timeouts
+    included — is presumed transient: an unknown failure gets the
+    benefit of a bounded retry rather than being dropped on first sight.
     """
-    if isinstance(exc, (BrokenExecutor, CandidateTimeoutError)):
-        return TRANSIENT
     if isinstance(exc, DETERMINISTIC_ERRORS):
         return DETERMINISTIC
     return TRANSIENT
@@ -120,7 +102,7 @@ class FailureRecord:
 
     item: Any
     key: str
-    kind: str                 # "timeout" | "error" | "pool"
+    kind: str                 # "timeout" | "error"
     classification: str       # TRANSIENT | DETERMINISTIC
     error: str                # repr of the final exception
     attempts: int
@@ -133,15 +115,12 @@ class _Task:
     item: Any
     attempts: int            # attempts started, including this one
     submitted: float         # clock() at submission
-    pool: Any = None         # the executor this attempt was submitted to
 
 
 class SweepSupervisor:
     """Supervises one sweep's fan-out (see the module docstring).
 
-    ``mode`` is ``"thread"`` or ``"process"`` (what
-    :func:`~repro.model.evaluate.resolve_pool_mode` decided); the
-    supervisor owns the pools, builds them lazily, and reuses them
+    The supervisor owns its thread pool, builds it lazily, and reuses it
     across batches so multi-round strategies pay pool spin-up once.
     ``sleep`` and ``clock`` are injectable for deterministic tests.
     """
@@ -149,7 +128,6 @@ class SweepSupervisor:
     def __init__(
         self,
         workers: int = 1,
-        mode: str = "thread",
         timeout: Optional[float] = None,
         max_retries: int = 2,
         backoff: float = 0.05,
@@ -159,15 +137,11 @@ class SweepSupervisor:
         rng: Optional[random.Random] = None,
         backoff_cap: Optional[float] = None,
     ):
-        if mode not in ("thread", "process"):
-            raise ValueError(f"mode must be 'thread' or 'process', "
-                             f"got {mode!r}")
         if timeout is not None and timeout <= 0:
             raise ValueError("timeout must be positive (or None)")
         if max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         self.workers = workers
-        self.mode = mode
         self.timeout = timeout
         self.max_retries = max_retries
         self.backoff = backoff
@@ -181,108 +155,39 @@ class SweepSupervisor:
         self._clock = clock
         self._rng = rng if rng is not None else random.Random()
         self._last_backoff = 0.0
-        self._thread_pool: Optional[ThreadPoolExecutor] = None
-        self._process_pool: Optional[ProcessPoolExecutor] = None
-        self._rebuilt_process_pool = False
-        #: Workers written off to hung tasks (stats + close policy).
-        self._lost_slots = 0
-        #: Pools retired because one of their workers hung: shut down
-        #: without waiting, replaced by a fresh pool so hung workers can
-        #: never starve the live ones, reaped at :meth:`close`.
-        self._abandoned: List = []
+        self._executor: Optional[ThreadPoolExecutor] = None
         #: Terminal failures across every batch of the sweep.
         self.failures: List[FailureRecord] = []
-        #: Human-readable recovery events ("process-pool-rebuilt", ...).
-        self.events: List[str] = []
         #: Transient re-submissions performed across the sweep.
         self.retries = 0
 
     # ---- pools --------------------------------------------------------
-    def _pool(self):
-        if self.mode == "process":
-            if self._process_pool is None:
-                self._process_pool = ProcessPoolExecutor(
-                    max_workers=self.workers)
-            return self._process_pool
-        if self._thread_pool is None:
-            self._thread_pool = ThreadPoolExecutor(max_workers=self.workers)
-        return self._thread_pool
-
-    def _teardown_process_pool(self) -> None:
-        if self._process_pool is not None:
-            self._process_pool.shutdown(wait=False)
-            self._process_pool = None
+    def _pool(self) -> ThreadPoolExecutor:
+        if self._executor is None:
+            self._executor = ThreadPoolExecutor(max_workers=self.workers)
+        return self._executor
 
     def _retire_current_pool(self) -> None:
         """A worker of the current pool is hung past its deadline: the
-        worker cannot be preempted, so the whole pool is retired (its
-        live tasks finish; nothing new lands on it) and the next submit
-        builds a fresh pool at full capacity."""
-        pool = (self._process_pool if self.mode == "process"
-                else self._thread_pool)
-        if pool is None:
+        thread cannot be preempted, so the whole pool is retired (shut
+        down without waiting: its live tasks finish, nothing new lands
+        on it) and the next submit builds a fresh pool at full
+        capacity."""
+        if self._executor is None:
             return
-        self._abandoned.append(pool)
-        pool.shutdown(wait=False)
-        if self.mode == "process":
-            self._process_pool = None
-        else:
-            self._thread_pool = None
-
-    def _on_pool_broken(self, pool=None) -> None:
-        """Recover from a broken process pool: rebuild once, then
-        downgrade to threads — warning explicitly each time.
-
-        ``pool`` is the executor the failing task was submitted to.  A
-        single worker death breaks *every* in-flight future of that
-        pool, so recovery must run once per broken pool, not once per
-        broken future: stale futures of an already-replaced pool only
-        requeue their tasks.
-        """
-        if self.mode != "process":
-            return
-        if pool is not None and pool is not self._process_pool:
-            return  # this breakage was already recovered from
-        self._teardown_process_pool()
-        if not self._rebuilt_process_pool:
-            self._rebuilt_process_pool = True
-            self.events.append("process-pool-rebuilt")
-            warnings.warn(
-                "a sweep worker process died and broke the process pool; "
-                "rebuilding the pool once and retrying the tasks that "
-                "were in flight",
-                SweepDegradationWarning, stacklevel=3,
-            )
-        else:
-            self.mode = "thread"
-            self.events.append("degraded-to-threads")
-            warnings.warn(
-                "the rebuilt process pool broke again; downgrading this "
-                "sweep to a thread pool (results are unaffected — thread "
-                "and process sweeps are bit-identical — but the GIL now "
-                "serializes kernel execution)",
-                SweepDegradationWarning, stacklevel=3,
-            )
+        self._executor.shutdown(wait=False)
+        self._executor = None
 
     def close(self) -> None:
-        """Shut the pools down.  Pools retired over hung workers were
-        already shut down without waiting (joining them would hang
-        forever); their surviving child *processes* are killed here so
-        interpreter exit never blocks on an abandoned worker.  Hung
-        *threads* cannot be killed — callers that inject hangs (the
-        fault harness) must release them before interpreter shutdown.
+        """Shut the live pool down.  Pools retired over hung workers
+        were already shut down without waiting (joining them would hang
+        forever); hung threads cannot be killed, so callers that inject
+        hangs (the fault harness) must release them before interpreter
+        shutdown.
         """
-        if self._thread_pool is not None:
-            self._thread_pool.shutdown(wait=True)
-            self._thread_pool = None
-        if self._process_pool is not None:
-            self._process_pool.shutdown(wait=True)
-            self._process_pool = None
-        for pool in self._abandoned:
-            procs = getattr(pool, "_processes", None)
-            for proc in list((procs or {}).values()):
-                proc.kill()
-        self._abandoned = []
+        if self._executor is not None:
+            self._executor.shutdown(wait=True)
+            self._executor = None
 
     # ---- failure bookkeeping ------------------------------------------
     def _fail(self, task: _Task, exc: BaseException, kind: str, phase: int,
@@ -313,9 +218,8 @@ class SweepSupervisor:
         ``min(cap, rng.uniform(base, max(3 * previous, base)))`` — the
         classic decorrelated-jitter schedule.  It grows roughly as fast
         as plain exponential backoff, but two workers that fail at the
-        same instant (one died process breaks *every* in-flight future
-        of a pool) re-submit at *different* times instead of hammering
-        the recovering pool — or, under the batch job runner, a shared
+        same instant re-submit at *different* times instead of
+        hammering a shared resource — a recovering service, or a shared
         filesystem — in lockstep.  ``rng`` is injectable at
         construction for deterministic tests; a zero ``backoff``
         disables sleeping entirely, jitter included.
@@ -359,23 +263,20 @@ class SweepSupervisor:
         return completed
 
     # ---- pooled supervision -------------------------------------------
-    def run_batch(self, items, call, payload=None, process_worker=None,
-                  phase: int = 1, on_result=None, on_failure=None
-                  ) -> List[Tuple[Any, Any]]:
+    def run_batch(self, items, call, phase: int = 1, on_result=None,
+                  on_failure=None) -> List[Tuple[Any, Any]]:
         """Evaluate one batch under supervision.
 
-        ``call(item)`` is the in-process form (thread pools, retries
-        after degradation); ``payload(item)`` + ``process_worker``
-        (a picklable top-level function) is the process-pool form.
-        Results come back as ``(item, result)`` pairs *in the order of
-        ``items``* — completions only; terminal failures land in
-        :attr:`failures` (and ``on_failure``).  ``on_result`` fires as
-        each item completes, including during an interrupt drain, so
-        journals stay crash-consistent.
+        ``call(item)`` runs on the supervisor's thread pool (or inline,
+        with one worker or one item).  Results come back as
+        ``(item, result)`` pairs *in the order of ``items``* —
+        completions only; terminal failures land in :attr:`failures`
+        (and ``on_failure``).  ``on_result`` fires as each item
+        completes, including during an interrupt drain, so journals stay
+        crash-consistent.
         """
         items = list(items)
-        if self.workers <= 1 or len(items) <= 1 or (
-                self.mode == "process" and payload is None):
+        if self.workers <= 1 or len(items) <= 1:
             return self.run_serial(items, call, phase=phase,
                                    on_result=on_result,
                                    on_failure=on_failure)
@@ -386,22 +287,8 @@ class SweepSupervisor:
         queue.reverse()  # pop() from the end, preserving item order
 
         def submit(item, attempts) -> None:
-            task = _Task(item, attempts + 1, self._clock())
-            while True:
-                pool = self._pool()
-                try:
-                    if self.mode == "process":
-                        fut = pool.submit(process_worker, payload(item))
-                    else:
-                        fut = pool.submit(call, item)
-                except BrokenExecutor:
-                    # The pool died between batches or between submits;
-                    # recover and resubmit under the surviving pool.
-                    self._on_pool_broken(pool)
-                    continue
-                task.pool = pool
-                pending[fut] = task
-                return
+            fut = self._pool().submit(call, item)
+            pending[fut] = _Task(item, attempts + 1, self._clock())
 
         def settle(fut, task) -> None:
             """Deliver one finished future: success, retry, or failure."""
@@ -409,13 +296,6 @@ class SweepSupervisor:
                 result = fut.result()
             except KeyboardInterrupt:
                 raise
-            except BrokenExecutor as exc:
-                self._on_pool_broken(task.pool)
-                if self._should_retry(task, exc):
-                    self.retries += 1
-                    queue.append((task.item, task.attempts))
-                else:
-                    self._fail(task, exc, "pool", phase, on_failure)
             except Exception as exc:
                 if self._should_retry(task, exc):
                     self.retries += 1
@@ -458,11 +338,10 @@ class SweepSupervisor:
                     for fut in expired:
                         task = pending.pop(fut)
                         if not fut.cancel():
-                            # Already running: the worker cannot be
-                            # preempted, so it is written off and its
-                            # pool retired (a fresh pool replaces it —
-                            # hung workers never starve live tasks).
-                            self._lost_slots += 1
+                            # Already running: the thread cannot be
+                            # preempted, so its pool is retired (a
+                            # fresh pool replaces it — hung workers
+                            # never starve live tasks).
                             self._retire_current_pool()
                         exc = CandidateTimeoutError(
                             f"task {self.key(task.item)} exceeded the "
@@ -491,7 +370,7 @@ class SweepSupervisor:
             return
         grace = self.timeout if self.timeout is not None \
             else DRAIN_GRACE_SECONDS
-        done, not_done = wait(list(pending), timeout=grace)
+        done, _ = wait(list(pending), timeout=grace)
         for fut in done:
             task = pending.pop(fut)
             try:
@@ -501,4 +380,3 @@ class SweepSupervisor:
             results[task.item] = result
             if on_result is not None:
                 on_result(task.item, result, task.attempts)
-        self._lost_slots += len(not_done)

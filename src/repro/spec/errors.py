@@ -40,8 +40,8 @@ class SpecError(ValueError):
     def __reduce__(self):
         # ValueError's default __reduce__ replays args, which for this
         # class is the single formatted string — not a valid (section,
-        # message) pair.  Rebuild explicitly so SpecErrors survive the
-        # process-pool boundary.
+        # message) pair.  Rebuild explicitly so SpecErrors survive a
+        # pickle round trip.
         return (_rebuild_spec_error,
                 (type(self), self.section, self.raw_message, self.path,
                  self.location))

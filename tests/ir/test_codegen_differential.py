@@ -142,9 +142,9 @@ def assert_counters_match_stream(spec, tensors, events):
     """The vector kernels' counters, under the null routing plan, must
     aggregate the interpreter's event stream exactly."""
     counters = {}
-    CompiledBackend(cache=_CACHE).run_cascade_fused(
+    CompiledBackend(cache=_CACHE).run_vector(
         spec, {k: t.copy() for k, t in tensors.items()},
-        on_fused=lambda name, kc, fm: counters.setdefault(name, kc),
+        on_priced=lambda name, kc, fm: counters.setdefault(name, kc),
     )
     expected = stream_aggregates(events)
     assert set(counters) == set(expected)

@@ -5,7 +5,7 @@ The vector kernels inline :class:`~repro.model.components.BuffetModel` /
 :class:`~repro.model.components.CacheModel` state machines into the
 generated arena loops, so — unlike bare counters — they price specs that
 bind buffers exactly.  Every assertion here is strict equality against
-the traced evaluation: the fused path is exact by construction, and these
+the traced evaluation: the vector path is exact by construction, and these
 tests pin that down on the edge cases (capacity-1 and zero-capacity
 caches, dirty-eviction writebacks, empty-fiber window rolls, multi-Einsum
 drains) plus golden numbers for two real buffered accelerators.
@@ -127,12 +127,12 @@ def assert_fused_exact(spec, work):
 
 
 # ----------------------------------------------------------------------
-# The fused path on buffered specs
+# The vector path on buffered specs
 # ----------------------------------------------------------------------
 def test_fused_prices_buffered_spec_exactly():
     spec = load_spec(buffered_matmul(B_CACHED, Z_BUFFERED), name="fused-bz")
     traced, fused = assert_fused_exact(spec, tensors())
-    # The spec genuinely exercises buffers on the fused path.
+    # The spec genuinely exercises buffers on the vector path.
     assert fused.action_counts()["buffer_read_bits"] > 0
     assert fused.action_counts()["cache_read_bits"] > 0
 
@@ -309,14 +309,14 @@ def test_fused_kernel_counters_record_component_actions():
     sink = ModelSink(spec, env)
     recorded = {}
 
-    def on_fused(name, counters, fm):
+    def on_priced(name, counters, fm):
         fm.settle(counters)
         recorded[name] = counters
 
-    backend.run_cascade_fused(
+    backend.run_vector(
         spec, dict(work), sink=sink, env=env,
         make_machines=lambda name, ir: FusedMachines(sink, ir),
-        on_fused=on_fused,
+        on_priced=on_priced,
     )
     kc = recorded["Z"]
     components = {comp for comp, _tensor, _t in kc.actions}
@@ -335,15 +335,15 @@ def test_fused_kernel_counters_record_component_actions():
 
 
 def test_run_cascade_fused_without_machines_degrades_to_counters():
-    """No routing plan: every touch lands on the counters and the
-    outputs still match the interpreter's."""
+    """``run_vector`` without a routing plan: every touch lands on the
+    counters and the outputs still match the interpreter's."""
     spec = load_spec(buffered_matmul(B_CACHED), name="null-routing")
     backend = CompiledBackend(cache=_CACHE)
     work = tensors(seed=9)
     recorded = {}
-    env = backend.run_cascade_fused(
+    env = backend.run_vector(
         spec, dict(work),
-        on_fused=lambda name, kc, fm: recorded.setdefault(name, kc),
+        on_priced=lambda name, kc, fm: recorded.setdefault(name, kc),
     )
     kc = recorded["Z"]
     assert kc.actions == []  # no machines were ever built
@@ -579,7 +579,7 @@ GOLDEN = {
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_fused_golden_metrics(name):
-    """Pinned numbers through the fused path for two buffered
+    """Pinned numbers through the vector path for two buffered
     accelerators — regressions show exact numeric diffs."""
     spec = accelerator(name)
     backend = CompiledBackend(cache=_CACHE)

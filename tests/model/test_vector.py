@@ -335,7 +335,7 @@ def test_non_elementwise_opsets_stay_scalar_and_exact():
 
 
 # ----------------------------------------------------------------------
-# evaluate_many executors
+# evaluate_many thread pool
 # ----------------------------------------------------------------------
 def _sweep_workloads(n=3):
     out = []
@@ -349,60 +349,20 @@ def _sweep_workloads(n=3):
 
 
 def test_evaluate_many_process_executor_matches_threads():
+    """Threads are the one pool: workers=2 matches workers=1 exactly."""
     spec = load_spec(SPMSPM, name="vec-pool")
     workloads = _sweep_workloads()
-    threads = evaluate_many(spec, [dict(w) for w in workloads],
-                            workers=2, executor="thread")
-    procs = evaluate_many(spec, [dict(w) for w in workloads],
-                          workers=2, executor="process")
-    for a, b in zip(threads, procs):
+    serial = evaluate_many(spec, [dict(w) for w in workloads], workers=1)
+    threads = evaluate_many(spec, [dict(w) for w in workloads], workers=2)
+    for a, b in zip(serial, threads):
         assert a.env["Z"].points() == b.env["Z"].points()
         assert a.traffic_bytes() == b.traffic_bytes()
         assert a.exec_seconds == b.exec_seconds
         assert a.energy_pj == b.energy_pj
 
 
-def test_evaluate_many_executor_env_override(monkeypatch):
-    from repro.model.evaluate import EnvVarError, default_executor
-
-    monkeypatch.delenv("REPRO_EVALUATE_EXECUTOR", raising=False)
-    assert default_executor() == "thread"
-    monkeypatch.setenv("REPRO_EVALUATE_EXECUTOR", "process")
-    assert default_executor() == "process"
-    monkeypatch.setenv("REPRO_EVALUATE_EXECUTOR", "")
-    assert default_executor() == "thread"
-    # An unknown value used to fall back to threads silently; it now
-    # raises a named error that points at the variable.
-    monkeypatch.setenv("REPRO_EVALUATE_EXECUTOR", "bogus")
-    with pytest.raises(EnvVarError, match="REPRO_EVALUATE_EXECUTOR"):
-        default_executor()
-
-
 def test_evaluate_many_rejects_unknown_executor():
+    """evaluate_many fans out over threads only; it takes no executor."""
     spec = load_spec(SPMSPM, name="vec-pool-bad")
-    with pytest.raises(ValueError, match="unknown executor"):
+    with pytest.raises(TypeError, match="executor"):
         evaluate_many(spec, _sweep_workloads(2), executor="Processes")
-
-
-def test_explicit_process_executor_raises_on_unpicklable_args():
-    """executor='process' by argument must refuse (not silently thread)
-    when the arguments cannot cross the pool."""
-    from repro.model import EnergyModel, ProcessExecutorError
-
-    spec = load_spec(SPMSPM, name="vec-pool-strict")
-    with pytest.raises(ProcessExecutorError, match="energy_model"):
-        evaluate_many(spec, _sweep_workloads(2), workers=2,
-                      executor="process", energy_model=EnergyModel())
-
-
-def test_env_process_executor_downgrades_with_warning(monkeypatch):
-    """The env-var path keeps the thread fallback, but now names the
-    argument that blocked the process pool instead of staying silent."""
-    from repro.model import EnergyModel, ExecutorDowngradeWarning
-
-    monkeypatch.setenv("REPRO_EVALUATE_EXECUTOR", "process")
-    spec = load_spec(SPMSPM, name="vec-pool-env")
-    with pytest.warns(ExecutorDowngradeWarning, match="energy_model"):
-        results = evaluate_many(spec, _sweep_workloads(2), workers=2,
-                                energy_model=EnergyModel())
-    assert len(results) == 2

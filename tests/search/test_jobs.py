@@ -2,14 +2,16 @@
 
 Lifecycle (submit / poll / claim / drain / gather), bit-identity of a
 gathered job against an in-process ``search()``, lease expiry and
-takeover with an injected clock, a worker process killed mid-shard,
-dup-tolerant result loading, and the named version error on a
-foreign-protocol manifest.
+takeover with an injected clock, epoch fencing of a taken-over claim
+(and of a worker that wakes up after the takeover), a worker process
+killed mid-shard, dup-tolerant result loading, and the named version
+error on a foreign-protocol manifest.
 """
 
 import json
 import multiprocessing
 import os
+import threading
 import time
 
 import pytest
@@ -18,6 +20,7 @@ from faults import FaultPlan
 from repro.einsum.operators import OpSet
 from repro.search import (
     JobError,
+    LeaseLostError,
     PayloadVersionError,
     claim,
     gather,
@@ -70,6 +73,21 @@ def _fingerprints(result):
 
     return [(cand, metrics_fingerprint(res))
             for cand, res in result.candidates]
+
+
+def _shard_state(path, shard):
+    """The lease, the results file and the done/ directory of a job, as
+    bytes — what a fenced claim must leave untouched."""
+    def read(*parts):
+        try:
+            with open(os.path.join(path, *parts), "rb") as fh:
+                return fh.read()
+        except FileNotFoundError:
+            return None
+
+    return (read("leases", f"shard-{shard:04d}.lease"),
+            read("results", f"shard-{shard:04d}.jsonl"),
+            sorted(os.listdir(os.path.join(path, "done"))))
 
 
 class TestSubmit:
@@ -189,6 +207,75 @@ class TestLeaseExpiry:
         assert c3.epoch == 2
         assert len(c3.done_keys) == 1
         assert len(c3.pending) == len(c3.candidates) - 1
+
+    def test_taken_over_claim_is_fenced(self, tensors, tmp_path):
+        path = str(tmp_path / "job")
+        spec = load_spec(BASE)
+        submit(path, spec, tensors, shards=2)
+        now = [1000.0]
+        clock = lambda: now[0]
+        c1 = claim(path, worker="w1", lease_ttl=30.0, clock=clock)
+        from repro.model.evaluate import evaluate
+        from repro.search.runner import apply_candidate
+
+        cand = c1.pending[0]
+        result = evaluate(apply_candidate(spec, "Z", cand), dict(tensors))
+        c1.record(cand, result, result.exec_seconds)
+        now[0] += 31.0
+        c3 = claim(path, worker="w3", lease_ttl=30.0, clock=clock)
+        assert (c3.shard, c3.epoch) == (c1.shard, 2)
+        # w1 wakes up: every write of its stale claim is refused and
+        # leaves w3's lease, the results and done/ exactly as they were.
+        before = _shard_state(path, c1.shard)
+        later = c1.pending[0]
+        for write in (c1.heartbeat,
+                      lambda: c1.record(later, result, 0.0),
+                      lambda: c1.record_failure(later, "late"),
+                      c1.complete):
+            with pytest.raises(LeaseLostError, match="epoch 2"):
+                write()
+            assert _shard_state(path, c1.shard) == before
+        assert isinstance(LeaseLostError("x"), JobError)
+        # The new owner is unaffected and finishes the job.
+        c3.heartbeat()
+        c3.complete()
+        assert json.load(open(os.path.join(
+            path, "done", f"shard-{c3.shard:04d}")))["worker"] == "w3"
+
+    def test_woken_worker_drops_its_fenced_shard(
+            self, tensors, plan, tmp_path):
+        """A worker paused at its first append (an injected hang) while
+        a survivor takes its shard over: on waking it records nothing,
+        claims no further shard, and the job gathers bit-identically."""
+        spec = load_spec(BASE)
+        ref = search(spec, tensors, workers=1)
+        path = str(tmp_path / "job")
+        submit(path, spec, tensors, shards=2)
+        rule = plan.add("jobs-record:shard-0000", "hang", times=1)
+        shards = []
+        sleeper = threading.Thread(target=lambda: shards.append(
+            run_worker(path, worker="sleeper", lease_ttl=30.0)))
+        sleeper.start()
+        deadline = time.monotonic() + 60.0
+        while plan.fired(rule) == 0 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert plan.fired(rule) == 1
+        # The sleeper holds shard 0's lease; the survivor's clock runs
+        # past its TTL, takes shard 0 over and completes both shards.
+        clock = lambda: time.time() + 1000.0
+        assert run_worker(path, worker="survivor", lease_ttl=30.0,
+                          clock=clock) == 2
+        before = _shard_state(path, 0)
+        plan.release()
+        sleeper.join(60.0)
+        assert not sleeper.is_alive()
+        assert shards == [0]  # fenced: the shard was dropped, not done
+        assert _shard_state(path, 0) == before
+        records = open(os.path.join(path, "results", "shard-0000.jsonl"),
+                       "rb").read().decode()
+        assert "sleeper" not in records
+        job = gather(path)
+        assert _fingerprints(job) == _fingerprints(ref)
 
     def test_heartbeat_keeps_a_slow_worker_alive(self, tensors, tmp_path):
         path = str(tmp_path / "job")

@@ -77,3 +77,40 @@ class TestSearchRunnerAcceptsCycles:
         cand, res = result.best(metric="cycles")
         assert res.exec_cycles == min(
             r.exec_cycles for _, r in result.candidates)
+
+
+class TestSearchResultRanksByItsMetric:
+    def test_best_ranked_and_table_default_to_the_search_metric(self):
+        """Candidates of this space tie on exec_seconds but not on
+        energy: an energy search's default ranking must be by energy,
+        not the first candidate proposed."""
+        from repro.search import search
+        from repro.spec import load_spec
+        from repro.workloads import uniform_random
+
+        spec = load_spec(
+            """
+            einsum:
+              declaration:
+                A: [K, M]
+                B: [K, N]
+                Z: [M, N]
+              expressions:
+                - Z[m, n] = A[k, m] * B[k, n]
+            """,
+            name="energy-metric",
+        )
+        tensors = {
+            "A": uniform_random("A", ["K", "M"], (32, 24), 0.2, seed=3),
+            "B": uniform_random("B", ["K", "N"], (32, 20), 0.2, seed=4),
+        }
+        result = search(spec, tensors, metric="energy", workers=1)
+        by_time = result.best("exec_seconds")
+        by_energy = result.best("energy")
+        assert by_time[0] != by_energy[0]
+        assert result.best() == by_energy
+        assert result.ranked() == result.ranked("energy")
+        assert result.to_table() == result.to_table("energy")
+        # The plain sweep container keeps exec_seconds as its default.
+        plain = ExplorationResult(candidates=result.candidates)
+        assert plain.best() == by_time

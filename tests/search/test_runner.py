@@ -1,10 +1,10 @@
 """Search-runner behavior: parallel/serial equivalence, two-phase
-pruning, executor strictness, cascade sweeps, and the serial explore
-entry point."""
+pruning, the thread-only executor, cascade sweeps, and the serial
+explore entry point."""
 
 import pytest
 
-from repro.model import PrepCache, ProcessExecutorError
+from repro.model import PrepCache
 from repro.search import (
     BeamSearch,
     SearchResult,
@@ -95,11 +95,11 @@ class TestParallelSerialEquivalence:
             == [c for c, _ in threaded.ranked()]
 
     def test_process_pool_matches_serial_bit_identically(self, tensors):
+        """Threads are the one pool: workers=2 matches workers=1."""
         spec = load_spec(BASE)
         serial = search(spec, tensors, max_loop_orders=4, workers=1)
-        procs = search(spec, tensors, max_loop_orders=4, workers=2,
-                       executor="process")
-        assert _fingerprints(serial) == _fingerprints(procs)
+        threaded = search(spec, tensors, max_loop_orders=4, workers=2)
+        assert _fingerprints(serial) == _fingerprints(threaded)
 
     def test_parallel_sweep_shares_prep_cache(self, tensors):
         spec = load_spec(BASE)
@@ -193,26 +193,19 @@ class TestTwoPhasePruning:
 
 
 class TestExecutorStrictness:
-    def test_explicit_process_with_custom_energy_model_raises(self, tensors):
-        from repro.model import EnergyModel
+    def test_process_executor_points_at_jobs(self, tensors):
+        """Threads are the one in-process pool: a process request is
+        refused, naming the multi-process path."""
+        with pytest.raises(ValueError, match=r"repro\.search\.jobs"):
+            search(load_spec(BASE), tensors, workers=2, executor="process")
 
-        with pytest.raises(ProcessExecutorError) as err:
-            search(load_spec(BASE), tensors, workers=2,
-                   executor="process", energy_model=EnergyModel())
-        assert "energy_model" in str(err.value)
-
-    def test_default_path_downgrade_warns_naming_offender(
-            self, tensors, monkeypatch):
-        """An env-requested process pool that cannot be honored still
-        runs the sweep on threads, but now says so — naming the
-        argument that blocked the process pool."""
-        from repro.model import EnergyModel, ExecutorDowngradeWarning
-
-        monkeypatch.setenv("REPRO_EVALUATE_EXECUTOR", "process")
-        with pytest.warns(ExecutorDowngradeWarning, match="energy_model"):
-            result = search(load_spec(BASE), tensors, max_loop_orders=3,
-                            workers=2, energy_model=EnergyModel())
-        assert len(result.candidates) == 3
+    def test_thread_executor_runs_unchanged(self, tensors):
+        spec = load_spec(BASE)
+        plain = search(spec, tensors, max_loop_orders=3, workers=2)
+        threaded = search(spec, tensors, max_loop_orders=3, workers=2,
+                          executor="thread")
+        assert _fingerprints(plain) == _fingerprints(threaded)
+        assert "executor" not in threaded.stats
 
     def test_unknown_executor_rejected(self, tensors):
         with pytest.raises(ValueError):

@@ -4,18 +4,15 @@ Every recovery path of :class:`repro.search.supervisor.SweepSupervisor`
 is driven deterministically through the env-gated hook in
 ``repro.model.executor`` (armed by :class:`faults.FaultPlan`): poison
 candidates recorded without retry, transient crashes retried to
-bit-identical success, hangs timed out and written off, broken process
-pools rebuilt once then degraded to threads, ``KeyboardInterrupt``
-drained into a finalized journal, and killed sweeps resumed
-bit-identically from a truncated journal.  No test sleeps to
-synchronize: hangs block on an event the harness releases at teardown,
-and counters are exact across pool worker processes.
+bit-identical success, hangs timed out and their pools retired,
+``KeyboardInterrupt`` drained into a finalized journal, and killed
+sweeps resumed bit-identically from a truncated journal.  No test
+sleeps to synchronize: hangs block on an event the harness releases at
+teardown, and counters are exact across threads.
 """
 
 import json
-import multiprocessing
 import os
-import warnings
 
 import pytest
 
@@ -24,7 +21,6 @@ from repro.model import evaluate_many
 from repro.search import (
     CandidateTimeoutError,
     ResumeMismatchError,
-    SweepDegradationWarning,
     SweepJournal,
     classify_failure,
     metrics_fingerprint,
@@ -73,8 +69,6 @@ binding:
 #: How ``apply_candidate`` names one specific candidate's spec — rules
 #: match on this substring, so faults target exactly one candidate.
 TARGET = "loop=[K, N, M]"
-
-FORK = multiprocessing.get_start_method() == "fork"
 
 #: Wall-clock budget per candidate in the hang tests.  Two orders of
 #: magnitude above a real evaluation (~ms), so only the injected hang —
@@ -192,48 +186,6 @@ class TestHang:
         assert failure.kind == "timeout"
         assert failure.classification == "transient"
         assert "wall-clock timeout" in failure.error
-
-
-@pytest.mark.skipif(not FORK, reason="worker-kill faults rely on fork "
-                    "inheriting the armed hook and counter paths")
-class TestBrokenPool:
-    def test_broken_pool_rebuilt_once_sweep_completes(self, plan, tensors):
-        spec = load_spec(BASE)
-        baseline = search(spec, tensors, workers=1)
-        rule = plan.add(TARGET, "exit", times=1)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            result = search(spec, tensors, workers=2, executor="process",
-                            retry_backoff=0)
-        assert len(result.candidates) == 6
-        assert not result.failures
-        assert "process-pool-rebuilt" in result.stats["events"]
-        assert "degraded-to-threads" not in result.stats["events"]
-        degradations = [c for c in caught
-                        if issubclass(c.category, SweepDegradationWarning)]
-        assert len(degradations) == 1
-        assert "rebuilding" in str(degradations[0].message)
-        assert plan.fired(rule) >= 2  # the kill, then a clean retry
-        assert _fingerprints(result) == _fingerprints(baseline)
-
-    def test_second_breakage_degrades_to_threads(self, plan, tensors):
-        spec = load_spec(BASE)
-        baseline = search(spec, tensors, workers=1)
-        plan.add(TARGET, "exit", times=2)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            result = search(spec, tensors, workers=2, executor="process",
-                            retry_backoff=0)
-        assert len(result.candidates) == 6
-        assert not result.failures
-        events = result.stats["events"]
-        assert events.count("process-pool-rebuilt") == 1
-        assert events.count("degraded-to-threads") == 1
-        assert result.stats["executor"] == "thread"  # finished degraded
-        degradations = [c for c in caught
-                        if issubclass(c.category, SweepDegradationWarning)]
-        assert len(degradations) == 2
-        assert _fingerprints(result) == _fingerprints(baseline)
 
 
 class TestInterrupt:

@@ -123,6 +123,35 @@ class TestEvaluateThroughCache:
         assert _object_count(cache_dir) == 0
 
 
+class TestStoreAndEngine:
+    """The one ``cache=`` resolver behind ``evaluate_many``, the search
+    runner and job workers."""
+
+    def test_fresh_store_backed_engine_per_call(self, cache_dir):
+        from repro.model.evaluate import store_and_engine
+
+        store_a, engine_a = store_and_engine(cache_dir)
+        store_b, engine_b = store_and_engine(cache_dir)
+        # Nothing is memoized: a sweep opening a new store directory per
+        # pass must not grow a process-wide table.
+        assert store_a is not store_b and engine_a is not engine_b
+        assert store_a.path == store_b.path
+        assert engine_a.cache is not engine_b.cache
+        assert engine_a.cache.persistent is store_a
+        assert engine_a.fallback
+
+    def test_no_cache_and_bypass_yield_no_store(self, cache_dir):
+        from repro.model.backend import resolve_backend
+        from repro.model.evaluate import store_and_engine
+
+        assert store_and_engine(None) == (None, resolve_backend(None))
+        with pytest.warns(StoreBypassWarning, match="this sweep.*energy"):
+            store, engine = store_and_engine(cache_dir,
+                                             energy_model=EnergyModel())
+        assert store is None
+        assert engine is resolve_backend(None)
+
+
 class TestKernelPersistence:
     def test_second_compile_cache_hits_persistently(self, cache_dir):
         spec = load_spec(BUFFERED)
@@ -141,21 +170,20 @@ class TestKernelPersistence:
 class TestEvaluateManyThroughCache:
     def test_thread_and_process_pools_hit_bit_identically(
             self, tensors, cache_dir):
+        """Pooled and serial thread sweeps both hit the store exactly;
+        cross-process hits are covered by the jobs suite."""
         spec = load_spec(BASE)
         workloads = [tensors, {
             "A": uniform_random("A", ["K", "M"], (24, 20), 0.25, seed=7),
             "B": uniform_random("B", ["K", "N"], (24, 16), 0.25, seed=8),
         }]
-        cold = evaluate_many(spec, workloads, workers=2,
-                             executor="thread", cache=cache_dir)
+        cold = evaluate_many(spec, workloads, workers=2, cache=cache_dir)
         store = PersistentStore(cache_dir)
-        warm_t = evaluate_many(spec, workloads, workers=2,
-                               executor="thread", cache=store)
-        warm_p = evaluate_many(spec, workloads, workers=2,
-                               executor="process", cache=store)
+        warm_pool = evaluate_many(spec, workloads, workers=2, cache=store)
+        warm_serial = evaluate_many(spec, workloads, workers=1, cache=store)
         fp = lambda rs: [metrics_fingerprint(r) for r in rs]
-        assert fp(warm_t) == fp(cold)
-        assert fp(warm_p) == fp(cold)
+        assert fp(warm_pool) == fp(cold)
+        assert fp(warm_serial) == fp(cold)
         assert store.stats.hits >= len(workloads)
         assert store.stats.puts == 0  # nothing was recomputed
 
@@ -199,10 +227,12 @@ class TestSearchThroughCache:
         assert store.stats.puts == 0  # everything came from the cache
 
     def test_process_pool_sweep_shares_the_store(self, tensors, cache_dir):
+        """A thread-pool sweep's puts serve a later serial sweep; the
+        multi-process case runs through repro.search.jobs
+        (test_jobs.py::test_workers_share_a_store)."""
         spec = load_spec(BASE)
         ref = search(spec, tensors, workers=1)
-        search(spec, tensors, workers=2, executor="process",
-               cache=cache_dir)
+        search(spec, tensors, workers=2, cache=cache_dir)
         store = PersistentStore(cache_dir)
         warm = search(spec, tensors, workers=1, cache=store)
         fp = lambda r: [(c, metrics_fingerprint(res))
